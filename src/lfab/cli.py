@@ -13,15 +13,15 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
-import tempfile
 
 from . import bench, encoders, frontend, metrics
 from .attention import AttentionConfig
 from .encoders import EncoderConfig, EncoderModel
 from .errors import AudioFormatError, ConfigError, WeightsFormatError
-from .weights import read_weights_file, write_weights_file
+from .weights import atomic_write, read_weights_file, write_weights_file
 
 log = logging.getLogger("lfab")
 
@@ -77,6 +77,10 @@ _ATTENTION_KEYS = ("heads", "head_dim", "left_context", "right_context",
                    "use_global_token")
 _ENCODER_KEYS = ("model_dim", "num_blocks", "channels", "alpha", "kernel_size",
                  "kernel_sizes", "se_reduction", "ff_expansion")
+# integer config keys and the least value each accepts
+_INT_MINIMUM = {"heads": 1, "head_dim": 1, "left_context": 0, "right_context": 0,
+                "model_dim": 1, "num_blocks": 1, "channels": 1, "kernel_size": 1,
+                "se_reduction": 1, "ff_expansion": 1}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,8 +93,21 @@ class RunConfig:
     preset: str | None = None
 
 
+def _check_int(key: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+
+
 def encoder_config_from_dict(raw: dict) -> EncoderConfig:
     d = dict(raw)
+    for key, minimum in _INT_MINIMUM.items():
+        if key in d and not (key == "kernel_size" and d[key] is None):
+            _check_int(key, d[key], minimum)
+    alpha = d.get("alpha", 1.0)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < math.inf:
+        raise ConfigError(f"alpha must be a positive finite number, got {alpha!r}")
+    if not isinstance(d.get("use_global_token", False), bool):
+        raise ConfigError(f"use_global_token must be true or false, got {d['use_global_token']!r}")
     try:
         family = d.pop("family")
     except KeyError:
@@ -107,6 +124,10 @@ def encoder_config_from_dict(raw: dict) -> EncoderConfig:
             ) from None
         attention = AttentionConfig(heads, head_dim, **att_kwargs)
     if d.get("kernel_sizes") is not None:
+        if not isinstance(d["kernel_sizes"], list):
+            raise ConfigError(f"kernel_sizes must be a list, got {d['kernel_sizes']!r}")
+        for k in d["kernel_sizes"]:
+            _check_int("kernel_sizes", k, 1)
         d["kernel_sizes"] = tuple(d["kernel_sizes"])
     unknown = sorted(set(d) - set(_ENCODER_KEYS))
     if unknown:
@@ -135,10 +156,8 @@ def resolve_run_config(name_or_path: str) -> RunConfig:
         preset = None
     seed = raw.pop("seed", 0)
     budget = raw.pop("budget_bytes", DEFAULT_BUDGET_BYTES)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigError(f"budget_bytes must be a positive integer, got {budget!r}")
+    _check_int("seed", seed, 0)
+    _check_int("budget_bytes", budget, 1)
     return RunConfig(
         encoder=encoder_config_from_dict(raw),
         seed=seed,
@@ -164,21 +183,6 @@ def build_model(rc: RunConfig, seed: int, weights_path=None) -> EncoderModel:
 
 def _effective_seed(rc: RunConfig, args) -> int:
     return rc.seed if args.seed is None else args.seed
-
-
-def _atomic_write(path, data) -> None:
-    """Write text or bytes so the target is never observed half-written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, mode) as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def cmd_bench(args) -> int:
     durations = _parse_durations(args.durations)
     report = bench.sweep_rtf(model, args.decoder, durations, seed=seed,
                              repeats=args.repeats)
-    _atomic_write(args.out, report.csv_text())
+    atomic_write(args.out, report.csv_text())
     log.info("wrote %d samples to %s", len(report.samples), args.out)
     return 0
 

@@ -94,41 +94,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _lstm_step(
-    w: RnntDecoderWeights, x: np.ndarray, h: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    hidden = h.size
-    gates = (
-        w.lstm_w_x.array.astype(np.float64) @ x
-        + w.lstm_w_h.array.astype(np.float64) @ h
-        + w.lstm_b.array.astype(np.float64)
-    )
-    i = _sigmoid(gates[:hidden])
-    f = _sigmoid(gates[hidden : 2 * hidden])
-    o = _sigmoid(gates[2 * hidden : 3 * hidden])
-    g = np.tanh(gates[3 * hidden :])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
-
-
-def _joint_logits(w: RnntDecoderWeights, enc_t: np.ndarray, pred_h: np.ndarray) -> np.ndarray:
-    z = (
-        w.w_enc.array.astype(np.float64) @ enc_t
-        + w.w_pred.array.astype(np.float64) @ pred_h
-        + w.b_joint.array.astype(np.float64)
-    )
-    return (w.w_out.array.astype(np.float64) @ np.tanh(z)).astype(np.float32)
-
-
 def joint(enc_t: Tensor, pred_h: Tensor, w: RnntDecoderWeights) -> Tensor:
     """Joint network logits for one (frame, prediction-state) pair."""
     if enc_t.shape != (w.w_enc.shape[1],):
         raise ShapeError(f"encoder frame must be ({w.w_enc.shape[1]},), got {enc_t.shape}")
     if pred_h.shape != (w.w_pred.shape[1],):
         raise ShapeError(f"prediction state must be ({w.w_pred.shape[1]},), got {pred_h.shape}")
-    return Tensor._wrap(
-        _joint_logits(w, enc_t.array.astype(np.float64), pred_h.array.astype(np.float64))
+    z = (
+        w.w_enc.array.astype(np.float64) @ enc_t.array.astype(np.float64)
+        + w.w_pred.array.astype(np.float64) @ pred_h.array.astype(np.float64)
+        + w.b_joint.array.astype(np.float64)
     )
+    return Tensor._wrap((w.w_out.array.astype(np.float64) @ np.tanh(z)).astype(np.float32))
 
 
 def rnnt_greedy(
@@ -144,6 +121,15 @@ def rnnt_greedy(
     blank advances to the next frame; a token is emitted and fed back through
     the prediction network, up to max_symbols_per_frame per frame, after
     which one more evaluation is spent and the frame is force-advanced.
+
+    Work runs only as often as its inputs change: head weights are cast to
+    float64 once per call, w_enc @ enc_t is taken once per frame, w_pred @ h
+    once per emission and lstm_w_x @ embedding[k] once per token id. A joint
+    evaluation is then tanh(a + p + b_joint), w_out @, a float32 cast and an
+    argmax (lowest index wins ties). The encoder projection stays a per-frame
+    matrix-vector product, not one (T', D) GEMM, because GEMM rows can differ
+    from gemv in the last bits; so every float64 value, and every token, is
+    the same as when each evaluation recomputes every projection.
     """
     if encoded.ndim != 2 or encoded.shape[1] != w.w_enc.shape[1]:
         raise ShapeError(
@@ -157,27 +143,42 @@ def rnnt_greedy(
         raise ShapeError(f"max_symbols_per_frame must be >= 1, got {max_symbols_per_frame}")
     t0 = time.perf_counter()
     blank = vocab.blank_id
-    embed = w.embedding.array.astype(np.float64)
-    hidden = w.w_pred.shape[1]
-    h = np.zeros(hidden, dtype=np.float64)
-    c = np.zeros(hidden, dtype=np.float64)
+    embed, w_x, w_h, b, w_enc, w_pred, b_joint, w_out = (
+        wt.array.astype(np.float64)
+        for wt in (w.embedding, w.lstm_w_x, w.lstm_w_h, w.lstm_b,
+                  w.w_enc, w.w_pred, w.b_joint, w.w_out)
+    )
+    hidden = w_h.shape[1]
+    x_proj: dict[int, np.ndarray] = {}  # token id -> w_x @ embed[k]
+
+    def lstm_step(wx, h, c):
+        gates = wx + w_h @ h + b  # gate order i, f, o, g
+        ifo = _sigmoid(gates[: 3 * hidden])
+        c_new = ifo[hidden : 2 * hidden] * c + ifo[:hidden] * np.tanh(gates[3 * hidden :])
+        return ifo[2 * hidden :] * np.tanh(c_new), c_new
+
     # blank priming: one step on the zero input vector from the zero state
-    h, c = _lstm_step(w, np.zeros(w.embedding.shape[1], dtype=np.float64), h, c)
+    state = np.zeros(hidden, dtype=np.float64)
+    h, c = lstm_step(w_x @ np.zeros(embed.shape[1], dtype=np.float64), state, state)
+    p = w_pred @ h
 
     enc64 = encoded.array.astype(np.float64)
     token_ids: list[int] = []
     joint_evals = 0
     for t in range(enc64.shape[0]):
-        enc_t = enc64[t]
+        a = w_enc @ enc64[t]
         emitted = 0
         while True:
-            logits = _joint_logits(w, enc_t, h)
+            k = int((w_out @ np.tanh(a + p + b_joint)).astype(np.float32).argmax())
             joint_evals += 1
-            k = int(np.argmax(logits))
             if k == blank or emitted == max_symbols_per_frame:
                 break  # blank, or over-cap token discarded: advance frame
             token_ids.append(k)
-            h, c = _lstm_step(w, embed[k], h, c)
+            wx = x_proj.get(k)
+            if wx is None:
+                wx = x_proj[k] = w_x @ embed[k]
+            h, c = lstm_step(wx, h, c)
+            p = w_pred @ h
             emitted += 1
     return Hypothesis(
         token_ids=token_ids,
@@ -187,8 +188,3 @@ def rnnt_greedy(
         frames=enc64.shape[0],
         joint_evals=joint_evals,
     )
-
-
-def decode_step_count(hyp: Hypothesis, t_prime: int) -> dict:
-    """RNNT cost accounting: joint_evals = frames + emitted tokens."""
-    return {"frames": t_prime, "joint_evals": t_prime + len(hyp.token_ids)}

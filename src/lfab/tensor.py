@@ -40,11 +40,6 @@ def _note_free(nbytes: int) -> None:
     _LIVE_BYTES -= nbytes
 
 
-def live_bytes() -> int:
-    """Bytes currently held by live Tensor buffers."""
-    return _LIVE_BYTES
-
-
 class AllocationTracker:
     """Context manager recording the high-water mark of live tensor bytes.
 

@@ -35,19 +35,24 @@ def serialize_weights(weights: dict[str, Tensor]) -> bytes:
     return bytes(out)
 
 
-def write_weights_file(path, weights: dict[str, Tensor]) -> None:
-    """Serialize and atomically replace path."""
-    data = serialize_weights(weights)
+def atomic_write(path, data) -> None:
+    """Write text or bytes so the target is never observed half-written."""
     directory = os.path.dirname(os.path.abspath(path))
+    mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as f:
+        with os.fdopen(fd, mode) as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_weights_file(path, weights: dict[str, Tensor]) -> None:
+    """Serialize and atomically replace path."""
+    atomic_write(path, serialize_weights(weights))
 
 
 class _Cursor:

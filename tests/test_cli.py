@@ -79,6 +79,37 @@ class TestConfigResolution:
             cli.resolve_run_config(str(path))
 
 
+class TestTypedConfigValidation:
+    """Wrongly typed or out-of-range config values exit 3 and name the key."""
+
+    @pytest.mark.parametrize("base, key, value", [
+        ("toy-fastconformer", "heads", "4"),  # was exit 5, TypeError
+        ("toy-contextnet", "se_reduction", 0),  # was exit 5, ZeroDivisionError
+        ("toy-fastconformer", "ff_expansion", 0),  # was exit 2
+        ("toy-contextnet", "num_blocks", True),  # was exit 3, "True not divisible"
+        ("toy-quartznet2", "model_dim", 64.0),
+        ("toy-fastconformer", "left_context", -1),
+        ("toy-citrinet", "kernel_sizes", [5, "3", 7, 5, 9, 5, 7, 3]),
+        ("toy-contextnet", "alpha", float("nan")),
+        ("toy-fastconformer-gt", "use_global_token", 1),
+        ("toy-quartznet2", "seed", -1),
+        ("toy-quartznet2", "budget_bytes", True),
+    ])
+    def test_gen_weights_exits_3(self, capsys, tmp_path, base, key, value):
+        raw = dict(cli.PRESETS[base], **{key: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "gen-weights", "--config", str(path),
+                           "--out", str(tmp_path / "w.lfwb"))
+        assert code == 3, err
+        assert key in err and "must be" in err
+        assert not (tmp_path / "w.lfwb").exists()
+
+    def test_zero_context_is_valid(self):
+        raw = dict(cli.PRESETS["toy-fastconformer"], left_context=0, right_context=0)
+        assert cli.encoder_config_from_dict(raw).attention.left_context == 0
+
+
 class TestTranscribe:
     def test_single_wav_prints_text_and_timing(self, capsys, tone_wav):
         code, out, err = run(

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from lfab import decoders
+from lfab import cli, encoders, frontend
 from lfab.decoders import (
     MAX_SYMBOLS_PER_FRAME,
     Hypothesis,
     RnntDecoderWeights,
     Vocab,
     ctc_greedy,
-    decode_step_count,
     default_vocab,
     joint,
     rnnt_greedy,
@@ -172,24 +171,6 @@ class TestCtcGreedy:
 
 
 class TestLstmAndJoint:
-    def test_lstm_step_matches_manual_gates(self):
-        w = make_rnnt_weights(seed=1)
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(8)
-        h0 = rng.standard_normal(12)
-        c0 = rng.standard_normal(12)
-        h1, c1 = decoders._lstm_step(w, x, h0, c0)
-        z = (
-            w.lstm_w_x.array.astype(np.float64) @ x
-            + w.lstm_w_h.array.astype(np.float64) @ h0
-            + w.lstm_b.array.astype(np.float64)
-        )
-        sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-        c_want = sig(z[12:24]) * c0 + sig(z[:12]) * np.tanh(z[36:])
-        h_want = sig(z[24:36]) * np.tanh(c_want)
-        np.testing.assert_allclose(c1, c_want, rtol=1e-12)
-        np.testing.assert_allclose(h1, h_want, rtol=1e-12)
-
     def test_joint_matches_manual(self):
         w = make_rnnt_weights(seed=3)
         rng = np.random.default_rng(4)
@@ -277,10 +258,6 @@ class TestRnntGreedy:
         hyp = rnnt_greedy(Tensor(enc), w, default_vocab())
         assert hyp.joint_evals == t + len(hyp.token_ids)
         assert hyp.joint_evals <= (MAX_SYMBOLS_PER_FRAME + 1) * t
-        assert decode_step_count(hyp, t) == {
-            "frames": t,
-            "joint_evals": hyp.joint_evals,
-        }
 
     def test_deterministic(self):
         w = make_rnnt_weights(seed=33, scale=2.0)
@@ -317,6 +294,45 @@ class TestRnntGreedy:
         enc = np.random.default_rng(12).standard_normal((20, 16)).astype(np.float32)
         hyp = rnnt_greedy(Tensor(enc), w, v)
         assert hyp.text == v.detokenize(hyp.token_ids)
+
+
+@pytest.fixture(scope="module")
+def fastconformer_frames():
+    """24 s of synthetic audio through a seeded toy-fastconformer encoder."""
+    cfg = cli.resolve_run_config("toy-fastconformer").encoder
+    model = encoders.attach_heads(encoders.build(cfg, seed=1), ("rnnt",))
+    feats = frontend.log_mel(frontend.synth_audio(24.0, seed=13)).frames
+    return encoders.encode(model, feats).array, model.rnnt_head
+
+
+class TestRnntGreedyLongForm:
+    """Encoder output of a real model, hundreds of frames, many emissions."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 10])
+    def test_matches_oracle(self, fastconformer_frames, cap):
+        enc, w = fastconformer_frames
+        hyp = rnnt_greedy(Tensor(enc), w, default_vocab(), max_symbols_per_frame=cap)
+        toks, evals = rnnt_oracle(enc, w, blank=28, cap=cap)
+        assert enc.shape[0] >= 300
+        assert hyp.token_ids == toks
+        assert hyp.joint_evals == evals
+        assert len(toks) >= enc.shape[0] // 2  # emission-heavy
+
+    def test_many_distinct_tokens_match_oracle(self, fastconformer_frames):
+        # sharpened joint weights spread emissions over most of the vocab,
+        # so the per-token input projections are built and reused many times
+        enc, head = fastconformer_frames
+        w = RnntDecoderWeights(**{
+            name: Tensor(getattr(head, name).array * 3.0)
+            if name in ("w_enc", "w_pred", "w_out") else getattr(head, name)
+            for name in RnntDecoderWeights.__dataclass_fields__
+        })
+        hyp = rnnt_greedy(Tensor(enc), w, default_vocab())
+        toks, evals = rnnt_oracle(enc, w, blank=28, cap=MAX_SYMBOLS_PER_FRAME)
+        assert hyp.token_ids == toks
+        assert hyp.joint_evals == evals
+        assert len(set(toks)) >= 20
+        assert len(toks) >= 9 * enc.shape[0]
 
 
 class TestHypothesis:
