@@ -34,6 +34,7 @@ from .frontend import AudioBuffer
 
 BYTES_PER_ELEMENT = 4
 DEFAULT_REPEATS = 3
+STAGES = ("frontend_s", "encoder_s", "decoder_s")
 
 _timed_section_active = False
 
@@ -58,13 +59,19 @@ class BenchSample:
     predicted_peak_bytes: int
     measured_peak_bytes: int
     decoder_kind: str
+    # per-stage medians over the repeats; they need not sum to wall_s,
+    # which is the median of the summed stages
+    frontend_s: float = 0.0
+    encoder_s: float = 0.0
+    decoder_s: float = 0.0
 
     def __post_init__(self):
         if self.rtf != self.wall_s / self.duration_s:
             raise ValueError("rtf must equal wall_s / duration_s exactly")
 
 
-CSV_HEADER = "duration_s,wall_s,rtf,predicted_peak_bytes,measured_peak_bytes,decoder"
+CSV_HEADER = ("duration_s,wall_s,rtf,frontend_s,encoder_s,decoder_s,"
+              "predicted_peak_bytes,measured_peak_bytes,decoder")
 
 
 @dataclass
@@ -76,6 +83,7 @@ class BenchReport:
         for s in self.samples:
             lines.append(
                 f"{s.duration_s},{s.wall_s:.6f},{s.rtf:.6f},"
+                f"{s.frontend_s:.6f},{s.encoder_s:.6f},{s.decoder_s:.6f},"
                 f"{s.predicted_peak_bytes},{s.measured_peak_bytes},{s.decoder_kind}"
             )
         return "\n".join(lines) + "\n"
@@ -241,17 +249,18 @@ def measure_rtf(
     audio: AudioBuffer,
     repeats: int = DEFAULT_REPEATS,
 ) -> BenchSample:
-    """Median-of-repeats wall time over front-end + encoder + decode."""
+    """Median-of-repeats wall time over front-end + encoder + decode, plus the
+    median of each stage."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    walls, peaks = [], []
+    runs, peaks = [], []
     with _timed_section():
         for _ in range(repeats):
             with tensor.AllocationTracker() as tracker:
                 _, stages = run_pipeline(model, decoder, audio)
-            walls.append(sum(stages.values()))
+            runs.append(stages)
             peaks.append(tracker.peak_bytes)
-    wall = statistics.median(walls)
+    wall = statistics.median(sum(r.values()) for r in runs)
     duration = audio.duration_s
     frames = frontend.num_frames_for(audio.samples.size)
     return BenchSample(
@@ -261,6 +270,7 @@ def measure_rtf(
         predicted_peak_bytes=predict_peak_bytes(model.config, frames),
         measured_peak_bytes=max(peaks),
         decoder_kind=decoder,
+        **{k: statistics.median(r[k] for r in runs) for k in STAGES},
     )
 
 

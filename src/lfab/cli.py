@@ -182,7 +182,10 @@ def build_model(rc: RunConfig, seed: int, weights_path=None) -> EncoderModel:
 
 
 def _effective_seed(rc: RunConfig, args) -> int:
-    return rc.seed if args.seed is None else args.seed
+    if args.seed is None:
+        return rc.seed
+    _check_int("--seed", args.seed, 0)
+    return args.seed
 
 
 # ---------------------------------------------------------------------------

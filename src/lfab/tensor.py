@@ -4,6 +4,9 @@ Design rules, enforced here so every higher layer inherits them:
 
 - storage is always contiguous row-major float32; reductions (matmul, conv,
   norm statistics, softmax) accumulate in float64 and round once on output;
+- kernels may reorder memory but never arithmetic: tiles, in-place ufuncs
+  and skipped all-zero padding taps are allowed, a new summation order or
+  BLAS call shape is not, so every speedup is byte-identical;
 - operations are pure: inputs are never written, repeated calls are
   bit-identical;
 - "same" padding splits K-1 as floor((K-1)/2) left, ceil((K-1)/2) right;
@@ -144,6 +147,11 @@ def _as2d(x: Tensor, name: str) -> np.ndarray:
 # convolution
 
 
+# bytes of each (C, tile) float64 buffer of the depthwise conv; three of them
+# stay in a core's L2 cache
+DEPTHWISE_TILE_BYTES = 2**18
+
+
 def _resolve_padding(padding, k: int) -> tuple[int, int]:
     if padding == "same":
         return (k - 1) // 2, k - 1 - (k - 1) // 2
@@ -194,17 +202,24 @@ def conv1d(
         )
     t_out = (t_padded - k) // stride + 1
 
-    xp = np.zeros((c_in, t_padded), dtype=np.float64)
-    xp[:, pad_l : pad_l + t] = xa
     w64 = w._a.astype(np.float64)
-    out = np.zeros((c_out, t_out), dtype=np.float64)
-
-    last = 1 + stride * (t_out - 1)
+    b64 = None if bias is None else bias._a.astype(np.float64)[:, None]
     if c_in_g == 1 and groups == c_in and c_out == c_in:
-        # depthwise: one vectorized pass per tap
-        for tap in range(k):
-            out += w64[:, 0, tap : tap + 1] * xp[:, tap : tap + last : stride]
+        return Tensor._wrap(_depthwise_conv1d(xa, w64[:, 0], b64, stride, pad_l, t_out))
+    if k == 1 and stride == 1 and groups == 1 and pad_l == pad_r == 0:
+        # pointwise: one GEMM. BLAS accumulators start at +0.0, so this
+        # equals the zero-initialised sum of the general loop below. The
+        # input goes through np.zeros, not astype: with astype, glibc kept
+        # about 75 MiB more heap and the peak RSS of a table2-encode run rose
+        # from 1212 to 1284 MiB.
+        x64 = np.zeros((c_in, t), dtype=np.float64)
+        x64[...] = xa
+        out = w64[:, :, 0] @ x64
     else:
+        xp = np.zeros((c_in, t_padded), dtype=np.float64)
+        xp[:, pad_l : pad_l + t] = xa
+        out = np.zeros((c_out, t_out), dtype=np.float64)
+        last = 1 + stride * (t_out - 1)
         og = c_out // groups
         for g in range(groups):
             xg = xp[g * c_in_g : (g + 1) * c_in_g]
@@ -212,10 +227,50 @@ def conv1d(
             og_out = out[g * og : (g + 1) * og]
             for tap in range(k):
                 og_out += wg[:, :, tap] @ xg[:, tap : tap + last : stride]
-
-    if bias is not None:
-        out += bias._a.astype(np.float64)[:, None]
+    if b64 is not None:
+        out += b64
     return Tensor._wrap(out.astype(np.float32))
+
+
+def _depthwise_conv1d(xa, w64, b64, stride: int, pad_l: int, t_out: int) -> np.ndarray:
+    """Depthwise conv of float32 (C, T) by float64 (C, K) taps, as float32.
+
+    Works on tiles of output columns, so its float64 input, product and sum
+    buffers stay in cache and no padded copy exists. Per output element the
+    sum starts at +0.0 and adds the taps in order; a tap that would read
+    padding would add a signed zero, which leaves such a sum unchanged, so
+    it is skipped.
+    """
+    c, t = xa.shape
+    k = w64.shape[1]
+    out = np.empty((c, t_out), dtype=np.float32)
+    tile = min(max(1, DEPTHWISE_TILE_BYTES // (8 * c)), t_out)
+    xs = np.empty((c, (tile - 1) * stride + k), dtype=np.float64)
+    acc = np.empty((c, tile), dtype=np.float64)
+    prod = np.empty((c, tile), dtype=np.float64)
+    for j0 in range(0, t_out, tile):
+        j1 = min(j0 + tile, t_out)
+        # input columns the tile reads, clipped to the real input
+        lo = max(j0 * stride - pad_l, 0)
+        hi = max(min((j1 - 1) * stride - pad_l + k, t), lo)
+        xs[:, : hi - lo] = xa[:, lo:hi]
+        a = acc[:, : j1 - j0]
+        a.fill(0.0)
+        for tap in range(k):
+            # output columns whose input column j * stride + tap - pad_l is real
+            ja = max(j0, -((tap - pad_l) // stride))
+            jb = min(j1, (t - 1 + pad_l - tap) // stride + 1)
+            if ja >= jb:
+                continue
+            first = ja * stride + tap - pad_l - lo
+            src = xs[:, first : first + (jb - ja - 1) * stride + 1 : stride]
+            p = prod[:, : jb - ja]
+            np.multiply(w64[:, tap : tap + 1], src, out=p)
+            a[:, ja - j0 : jb - j0] += p
+        if b64 is not None:
+            a += b64
+        out[:, j0:j1] = a
+    return out
 
 
 def conv1d_output_length(t: int, k: int, stride: int, padding="same") -> int:
@@ -271,9 +326,11 @@ def batch_norm_infer(
     denom = var._a.astype(np.float64) + eps
     if (denom <= 0.0).any():
         raise NumericDomainError(f"batch_norm variance + eps must be positive, eps={eps}")
-    y = (xa - mean._a.astype(np.float64)[:, None]) / np.sqrt(denom)[:, None]
-    y = gamma._a.astype(np.float64)[:, None] * y + beta._a.astype(np.float64)[:, None]
-    return Tensor._wrap(y.astype(np.float32))
+    y = np.subtract(xa, mean._a.astype(np.float64)[:, None])
+    y /= np.sqrt(denom)[:, None]
+    y *= gamma._a.astype(np.float64)[:, None]
+    return Tensor._wrap(np.add(y, beta._a.astype(np.float64)[:, None],
+                               out=np.empty(xa.shape, dtype=np.float32)))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -299,8 +356,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x64 = x._a.astype(np.float64)
-    return Tensor._wrap((1.0 / (1.0 + np.exp(-x64))).astype(np.float32))
+    y = np.negative(x._a, dtype=np.float64)
+    np.exp(y, out=y)
+    y += 1.0
+    return Tensor._wrap(np.divide(1.0, y, out=np.empty(x.shape, dtype=np.float32)))
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -382,9 +382,11 @@ def test_criterion_09_command_determinism(tmp_path, capsys):
                              "--seed", "3", "--durations", "1,2",
                              "--repeats", "1", "--out", str(path)]) == 0
             rows = [ln.split(",") for ln in path.read_text().splitlines()]
-            # wall_s and rtf are the timing columns; everything else is value
-            tables.append([[c for i, c in enumerate(r) if i not in (1, 2)]
-                           for r in rows])
+            # wall_s, rtf and the stage seconds are the timing columns;
+            # everything else is value
+            timing = {"wall_s", "rtf", "frontend_s", "encoder_s", "decoder_s"}
+            keep = [i for i, name in enumerate(rows[0]) if name not in timing]
+            tables.append([[r[i] for i in keep] for r in rows])
         assert tables[0] == tables[1]
         capsys.readouterr()
 

@@ -56,8 +56,13 @@ class TestMeasureRtf:
         assert s.rtf == s.wall_s / s.duration_s
         assert s.wall_s > 0 and s.measured_peak_bytes > 0
         assert s.decoder_kind == "ctc"
+        assert min(s.frontend_s, s.encoder_s, s.decoder_s) > 0
         frames = frontend.num_frames_for(audio.samples.size)
         assert s.predicted_peak_bytes == predict_peak_bytes(conv_model.config, frames)
+
+    def test_single_repeat_stages_sum_to_wall(self, conv_model):
+        s = measure_rtf(conv_model, "rnnt", frontend.synth_audio(2.0, seed=1), repeats=1)
+        assert s.frontend_s + s.encoder_s + s.decoder_s == s.wall_s
 
     def test_decoded_text_deterministic_across_runs(self, conv_model):
         audio = frontend.synth_audio(2.0, seed=3)
@@ -89,11 +94,14 @@ class TestSweep:
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
+        names = lines[0].split(",")
         for line, s in zip(lines[1:], report.samples):
-            cols = line.split(",")
-            assert float(cols[0]) == s.duration_s
-            assert int(cols[3]) == s.predicted_peak_bytes
-            assert cols[5] == "ctc"
+            cols = dict(zip(names, line.split(",")))
+            assert float(cols["duration_s"]) == s.duration_s
+            assert int(cols["predicted_peak_bytes"]) == s.predicted_peak_bytes
+            assert cols["decoder"] == "ctc"
+            for stage in ("frontend_s", "encoder_s", "decoder_s"):
+                assert float(cols[stage]) == pytest.approx(getattr(s, stage), abs=1e-6)
 
     def test_unsorted_durations_rejected(self, conv_model):
         with pytest.raises(ValueError, match="ascending"):

@@ -9,6 +9,9 @@ from lfab import cli, encoders, frontend, metrics
 from lfab.tensor import Tensor
 from lfab.weights import read_weights_file, serialize_weights, write_weights_file
 
+# bench CSV columns that hold seconds, so differ from run to run
+TIMING_COLUMNS = {"wall_s", "rtf", "frontend_s", "encoder_s", "decoder_s"}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -104,6 +107,19 @@ class TestTypedConfigValidation:
         assert code == 3, err
         assert key in err and "must be" in err
         assert not (tmp_path / "w.lfwb").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("transcribe", ["--audio"]),
+        ("bench", ["--durations", "1", "--out"]),
+        ("gen-weights", ["--out"]),
+    ])
+    def test_negative_seed_flag_exits_3(self, capsys, tmp_path, tone_wav, command, extra):
+        target = tone_wav if command == "transcribe" else str(tmp_path / "out")
+        code, out, err = run(capsys, command, "--config", "toy-quartznet2",
+                             "--seed", "-1", *extra, target)
+        assert code == 3, err
+        assert "--seed must be" in err and out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_zero_context_is_valid(self):
         raw = dict(cli.PRESETS["toy-fastconformer"], left_context=0, right_context=0)
@@ -230,8 +246,8 @@ class TestBench:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == ("duration_s,wall_s,rtf,predicted_peak_bytes,"
-                            "measured_peak_bytes,decoder")
+        assert lines[0] == ("duration_s,wall_s,rtf,frontend_s,encoder_s,decoder_s,"
+                            "predicted_peak_bytes,measured_peak_bytes,decoder")
         assert len(lines) == 4
         assert [ln.split(",")[0] for ln in lines[1:]] == ["1.0", "2.0", "3.0"]
 
@@ -243,8 +259,9 @@ class TestBench:
                 "--durations", "1,2", "--repeats", "1", "--out", str(out),
                 "--decoder", "rnnt")
             rows = [ln.split(",") for ln in out.read_text().splitlines()]
-            # drop wall_s and rtf, the only timing-dependent columns
-            picks.append([[r[0], r[3], r[4], r[5]] for r in rows])
+            # drop the timing-dependent columns: wall_s, rtf and the stages
+            keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
+            picks.append([[r[i] for i in keep] for r in rows])
         assert picks[0] == picks[1]
 
     def test_rerun_overwrites_atomically(self, capsys, tmp_path):

@@ -11,6 +11,32 @@ from lfab.errors import AudioFormatError
 from lfab.frontend import AudioBuffer
 
 
+def log_mel_energies_reference(audio):
+    """The fancy-indexed STFT in 4096-frame batches used before the strided
+    rewrite: the exact bits log_mel_energies must keep."""
+    x = audio.samples.astype(np.float64)
+    t_frames = frontend.num_frames_for(x.size)
+    fb = frontend._mel_filterbank()
+    win = frontend._hann_window()
+    out = np.empty((t_frames, frontend.N_MELS), dtype=np.float64)
+    for start in range(0, t_frames, 4096):
+        stop = min(start + 4096, t_frames)
+        idx = start * 160 + np.arange(stop - start)[:, None] * 160
+        frames = x[idx + np.arange(400)] * win
+        spectrum = np.fft.rfft(frames, n=512, axis=1)
+        power = spectrum.real**2 + spectrum.imag**2
+        out[start:stop] = np.log(np.maximum(power @ fb.T, 1e-10))
+    return out
+
+
+def audio_with_frames(t_frames, seed):
+    """Synthetic audio of exactly t_frames frames plus a few spare samples."""
+    n = 400 + 160 * (t_frames - 1) + seed % 160
+    audio = frontend.synth_audio(n / 16000, seed)
+    assert frontend.num_frames_for(audio.samples.size) == t_frames
+    return audio
+
+
 def write_pcm16(path, ints, rate=16000, channels=1):
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(channels)
@@ -79,11 +105,33 @@ class TestLogMel:
         assert np.abs(z.var(axis=0) - 1.0).max() < 1e-3
 
     def test_batched_stft_matches_unbatched(self):
-        # long enough to span several internal batches at batch=4096 frames
+        # the head straddles the FFT batch boundary; the long run spans
+        # several FFT batches and two mel-projection batches
         audio = frontend.synth_audio(45.0, seed=9)
         y = frontend.log_mel_energies(audio)
-        head = frontend.log_mel_energies(AudioBuffer(audio.samples[: 400 + 160 * 99]))
-        np.testing.assert_allclose(y[:100], head, rtol=1e-10, atol=1e-12)
+        n = frontend.STFT_BATCH + 44
+        head = frontend.log_mel_energies(AudioBuffer(audio.samples[: 400 + 160 * (n - 1)]))
+        assert y[:n].tobytes() == head.tobytes()
+        # frame f + MEL_BATCH of the long run is frame f of the cut audio
+        cut = AudioBuffer(audio.samples[160 * frontend.MEL_BATCH :])
+        assert y[frontend.MEL_BATCH :].tobytes() == frontend.log_mel_energies(cut).tobytes()
+
+    @pytest.mark.parametrize("t_frames", [
+        1, 2, frontend.STFT_BATCH - 1, frontend.STFT_BATCH, frontend.STFT_BATCH + 1,
+        2 * frontend.STFT_BATCH + 15, frontend.MEL_BATCH - 1, frontend.MEL_BATCH,
+        frontend.MEL_BATCH + 1, frontend.MEL_BATCH + frontend.STFT_BATCH + 1,
+    ])
+    def test_energies_bits_match_reference(self, t_frames):
+        audio = audio_with_frames(t_frames, seed=t_frames)
+        want = log_mel_energies_reference(audio)
+        assert frontend.log_mel_energies(audio).tobytes() == want.tobytes()
+
+    def test_normalized_bits_match_out_of_place_formula(self):
+        audio = audio_with_frames(frontend.STFT_BATCH + 1, seed=4)
+        y = log_mel_energies_reference(audio)
+        z = (y - y.mean(axis=0)) / (np.sqrt(y.var(axis=0)) + 1e-10)
+        got = frontend.log_mel(audio).frames.array
+        assert got.tobytes() == z.astype(np.float32).tobytes()
 
 
 class TestWavIO:
@@ -93,6 +141,13 @@ class TestWavIO:
         audio = frontend.read_wav(f)
         assert audio.samples[0] == np.float32(32767 / 32768)
         assert audio.samples[2] == np.float32(-1.0)
+
+    def test_every_pcm_value_scales_like_float32_division(self, tmp_path):
+        ints = np.arange(-32768, 32768, dtype=np.int64)
+        f = tmp_path / "all.wav"
+        write_pcm16(f, ints)
+        want = ints.astype("<i2").astype(np.float32) / 32768.0
+        assert frontend.read_wav(f).samples.tobytes() == want.tobytes()
 
     def test_wrong_rate_message(self, tmp_path):
         f = tmp_path / "r8k.wav"

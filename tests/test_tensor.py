@@ -36,6 +36,113 @@ def conv1d_oracle(x, w, bias=None, stride=1, padding="same", groups=1):
     return out
 
 
+def conv1d_reference(x, w, bias=None, stride=1, padding="same", groups=1):
+    """The per-tap padded float64 loop conv1d used before tiling: the exact
+    bits the fast paths must keep."""
+    c_in, t = x.shape
+    c_out, c_in_g, k = w.shape
+    pl, pr = same_pad(k) if padding == "same" else (padding, padding)
+    t_out = (t + pl + pr - k) // stride + 1
+    xp = np.zeros((c_in, t + pl + pr), dtype=np.float64)
+    xp[:, pl : pl + t] = x
+    w64 = w.astype(np.float64)
+    out = np.zeros((c_out, t_out), dtype=np.float64)
+    last = 1 + stride * (t_out - 1)
+    if c_in_g == 1 and groups == c_in and c_out == c_in:
+        for tap in range(k):
+            out += w64[:, 0, tap : tap + 1] * xp[:, tap : tap + last : stride]
+    else:
+        og = c_out // groups
+        for g in range(groups):
+            xg = xp[g * c_in_g : (g + 1) * c_in_g]
+            for tap in range(k):
+                out[g * og : (g + 1) * og] += (
+                    w64[g * og : (g + 1) * og, :, tap] @ xg[:, tap : tap + last : stride]
+                )
+    if bias is not None:
+        out += bias.astype(np.float64)[:, None]
+    return out.astype(np.float32)
+
+
+def signed_zero_input(rng, shape):
+    """float32 normals with whole zero columns and scattered -0.0 entries."""
+    x = rng.standard_normal(shape).astype(np.float32)
+    x[:, rng.random(shape[1]) < 0.2] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+def assert_conv_bits(x, w, b=None, **kw):
+    got = tensor.conv1d(Tensor(x), Tensor(w), None if b is None else Tensor(b), **kw)
+    assert got.array.tobytes() == conv1d_reference(x, w, b, **kw).tobytes()
+
+
+class TestConv1dBitExact:
+    """Fast conv1d paths against the padded reference loop, byte for byte."""
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("tile_cols", [1, 3, 64, None])
+    def test_depthwise(self, monkeypatch, k, stride, tile_cols):
+        c = 6
+        if tile_cols is not None:
+            monkeypatch.setattr(tensor, "DEPTHWISE_TILE_BYTES", 8 * c * tile_cols)
+        rng = np.random.default_rng(100 + k)
+        for t in (1, 2, k - 1, k, 2 * k + 1, 37, 200):
+            for padding in ("same", 0, 2):
+                if padding != "same" and t + 2 * padding < k:
+                    continue
+                x = signed_zero_input(rng, (c, t))
+                w = rng.standard_normal((c, 1, k)).astype(np.float32)
+                w[0, 0, :] = -0.0
+                b = rng.standard_normal(c).astype(np.float32)
+                b[1] = -0.0
+                for bias in (None, b):
+                    assert_conv_bits(x, w, bias, stride=stride, padding=padding, groups=c)
+
+    def test_depthwise_long_input_spans_many_tiles(self):
+        rng = np.random.default_rng(5)
+        x = signed_zero_input(rng, (64, 3001))
+        w = rng.standard_normal((64, 1, 9)).astype(np.float32)
+        for stride in (1, 2):
+            assert_conv_bits(x, w, rng.standard_normal(64).astype(np.float32),
+                             stride=stride, groups=64)
+
+    @pytest.mark.parametrize("k, groups", [(9, 1), (9, 3), (5, 3)])
+    def test_t_shorter_than_k_same_padding(self, k, groups):
+        rng = np.random.default_rng(k)
+        for t in (1, 2, k - 1):
+            x = signed_zero_input(rng, (3, t))
+            w = rng.standard_normal((3, 3 // groups, k)).astype(np.float32)
+            assert_conv_bits(x, w, stride=1, groups=groups)
+            assert_conv_bits(x, w, stride=2, groups=groups)
+
+    def test_stride_2_odd_t(self):
+        rng = np.random.default_rng(2)
+        for t in (7, 31, 101):
+            x = signed_zero_input(rng, (4, t))
+            assert_conv_bits(x, rng.standard_normal((4, 1, 5)).astype(np.float32),
+                             stride=2, groups=4)
+            assert_conv_bits(x, rng.standard_normal((6, 4, 3)).astype(np.float32), stride=2)
+            assert_conv_bits(x, rng.standard_normal((4, 2, 3)).astype(np.float32),
+                             stride=2, groups=2)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_pointwise(self, with_bias):
+        rng = np.random.default_rng(9)
+        for c_in, c_out, t in ((1, 1, 1), (5, 3, 17), (64, 128, 300)):
+            x = signed_zero_input(rng, (c_in, t))
+            w = rng.standard_normal((c_out, c_in, 1)).astype(np.float32)
+            b = rng.standard_normal(c_out).astype(np.float32) if with_bias else None
+            assert_conv_bits(x, w, b)
+        # all-zero input columns under negative weights: every product is
+        # -0.0, and the zero-initialised sum of the reference is +0.0
+        x = np.zeros((16, 40), dtype=np.float32)
+        x[:, 20:] = rng.standard_normal((16, 20))
+        w = -np.abs(rng.standard_normal((8, 16, 1))).astype(np.float32)
+        assert_conv_bits(x, w, -np.zeros(8, dtype=np.float32) if with_bias else None)
+
+
 class TestConv1d:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(101)
@@ -149,6 +256,17 @@ class TestSeparableConv:
 
 
 class TestNorms:
+    def test_batch_norm_bits_match_out_of_place_formula(self):
+        rng = np.random.default_rng(31)
+        x = signed_zero_input(rng, (8, 257)) * np.float32(40.0)
+        gamma, beta, mean = (rng.standard_normal(8).astype(np.float32) for _ in range(3))
+        beta[0] = -0.0
+        var = np.abs(rng.standard_normal(8)).astype(np.float32)
+        y = (x - mean.astype(np.float64)[:, None]) / np.sqrt(var.astype(np.float64) + 1e-5)[:, None]
+        y = gamma.astype(np.float64)[:, None] * y + beta.astype(np.float64)[:, None]
+        got = tensor.batch_norm_infer(Tensor(x), *map(Tensor, (gamma, beta, mean, var)))
+        assert got.array.tobytes() == y.astype(np.float32).tobytes()
+
     def test_batch_norm_known_values(self):
         x = Tensor([[1.0, 2.0, 3.0]])
         y = tensor.batch_norm_infer(
@@ -195,6 +313,13 @@ class TestElementwise:
         assert y.array[0, 0] == 0.5
         assert 0.0 < float(y.array[0, 2]) < 1e-9
         assert 1.0 - 1e-6 < float(y.array[0, 1]) <= 1.0
+
+    def test_sigmoid_bits_match_out_of_place_formula(self):
+        rng = np.random.default_rng(29)
+        x = signed_zero_input(rng, (16, 513)) * np.float32(20.0)
+        x64 = x.astype(np.float64)
+        want = (1.0 / (1.0 + np.exp(-x64))).astype(np.float32)
+        assert tensor.sigmoid(Tensor(x)).array.tobytes() == want.tobytes()
 
     def test_silu_recomposition_exact(self):
         rng = np.random.default_rng(23)
