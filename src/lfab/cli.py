@@ -241,7 +241,7 @@ def cmd_bench(args) -> int:
     durations = _parse_durations(args.durations)
     report = bench.sweep_rtf(model, args.decoder, durations, seed=seed,
                              repeats=args.repeats)
-    atomic_write(args.out, report.csv_text())
+    atomic_write(args.out, [report.csv_text().encode()])
     log.info("wrote %d samples to %s", len(report.samples), args.out)
     return 0
 

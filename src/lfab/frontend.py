@@ -131,12 +131,6 @@ def _mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT) -> np.ndarray:
     return fb
 
 
-def mel_center_frequencies(n_mels: int = N_MELS) -> np.ndarray:
-    """Center (peak) frequency in Hz of each triangular filter."""
-    edges_mel = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), n_mels + 2)
-    return mel_to_hz(edges_mel[1:-1])
-
-
 @functools.lru_cache(maxsize=1)
 def _hann_window() -> np.ndarray:
     n = np.arange(WINDOW_SAMPLES, dtype=np.float64)
@@ -174,9 +168,9 @@ def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
 def log_mel(audio: AudioBuffer) -> FeatureMatrix:
     """Normalized log-mel features: per-feature zero mean / unit variance."""
     y = log_mel_energies(audio)
-    mu = y.mean(axis=0)
-    sigma = np.sqrt(y.var(axis=0))
-    y -= mu
+    # numpy's own mean/var sequence, with the mean taken and subtracted once
+    y -= y.mean(axis=0)
+    sigma = np.sqrt(np.square(y).sum(axis=0) / y.shape[0])
     y /= sigma + 1e-10
     return FeatureMatrix(frames=Tensor(y))  # Tensor() casts to float32
 

@@ -273,14 +273,6 @@ def _depthwise_conv1d(xa, w64, b64, stride: int, pad_l: int, t_out: int) -> np.n
     return out
 
 
-def conv1d_output_length(t: int, k: int, stride: int, padding="same") -> int:
-    """Output time length of conv1d without running it."""
-    pad_l, pad_r = _resolve_padding(padding, k)
-    if t + pad_l + pad_r < k:
-        raise ShapeError(f"time axis too short: T={t} with padding {pad_l}+{pad_r} < kernel {k}")
-    return (t + pad_l + pad_r - k) // stride + 1
-
-
 def depthwise_separable_conv1d(
     x: Tensor,
     w_dw: Tensor,

@@ -5,44 +5,51 @@ the UTF-8 name, u32 ndim, ndim u32 dims, and dim-product f32 values. Every
 integer and float is little-endian. Names must be unique and the byte
 length of the file is exactly determined by its headers; anything else is
 a format error.
+
+Files are streamed both ways: the reader reads each entry's values straight
+into the array its Tensor keeps, and the writer writes each array's own
+buffer, so neither ever holds a whole-file copy next to the model.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import struct
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NumericDomainError, WeightsFormatError
+from .errors import WeightsFormatError
 from .tensor import Tensor
 
 MAGIC = b"LFWB"
 _MAX_NDIM = 8
 
 
-def serialize_weights(weights: dict[str, Tensor]) -> bytes:
-    out = bytearray(MAGIC)
-    out += struct.pack("<I", len(weights))
+def _chunks(weights: dict[str, Tensor]) -> Iterator[bytes | memoryview]:
+    """The file's bytes in order: headers, then each array's own buffer."""
+    yield MAGIC + struct.pack("<I", len(weights))
     for name, t in weights.items():
         nb = name.encode("utf-8")
-        out += struct.pack("<I", len(nb))
-        out += nb
-        out += struct.pack("<I", t.ndim)
-        out += struct.pack(f"<{t.ndim}I", *t.shape)
-        out += np.ascontiguousarray(t.array, dtype="<f4").tobytes()
-    return bytes(out)
+        yield struct.pack(f"<I{len(nb)}sI{t.ndim}I", len(nb), nb, t.ndim, *t.shape)
+        yield memoryview(np.ascontiguousarray(t.array, dtype="<f4")).cast("B")
 
 
-def atomic_write(path, data) -> None:
-    """Write text or bytes so the target is never observed half-written."""
+def serialize_weights(weights: dict[str, Tensor]) -> bytes:
+    return b"".join(_chunks(weights))
+
+
+def atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
+    """Write byte chunks so the target is never observed half-written."""
     directory = os.path.dirname(os.path.abspath(path))
-    mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, mode) as f:
-            f.write(data)
+        with os.fdopen(fd, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -51,31 +58,56 @@ def atomic_write(path, data) -> None:
 
 
 def write_weights_file(path, weights: dict[str, Tensor]) -> None:
-    """Serialize and atomically replace path."""
-    atomic_write(path, serialize_weights(weights))
+    """Stream the serialized weights to a temp file, then replace path."""
+    atomic_write(path, _chunks(weights))
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
+class _Reader:
+    """Reads a stream of known size, checking each length before it reads."""
+
+    def __init__(self, f, size: int):
+        self.f = f
+        self.size = size
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _claim(self, n: int) -> None:
+        if n > self.size - self.pos:
             raise WeightsFormatError(
                 f"truncated weights file: needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
+                f"have {self.size - self.pos}"
             )
-        chunk = self.data[self.pos : self.pos + n]
         self.pos += n
+
+    def _check_read(self, got: int, n: int) -> None:
+        # the stream ended before its stated size (the file shrank)
+        if got != n:
+            raise WeightsFormatError(
+                f"truncated weights file: needed {n} bytes at offset {self.pos - n}, "
+                f"read {got}"
+            )
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        chunk = self.f.read(n)
+        self._check_read(len(chunk), n)
         return chunk
+
+    def take_array(self, dims: tuple[int, ...]) -> np.ndarray:
+        arr_bytes = 4 * math.prod(dims)
+        # claimed before allocating, so a corrupt header cannot ask for more
+        # memory than the file holds
+        self._claim(arr_bytes)
+        arr = np.empty(dims, dtype="<f4")
+        self._check_read(self.f.readinto(memoryview(arr).cast("B")), arr_bytes)
+        return arr
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def deserialize_weights(data: bytes) -> dict[str, Tensor]:
-    cur = _Cursor(data)
+def _read_weights(f, size: int) -> dict[str, Tensor]:
+    """The one LFWB parser, over a binary stream holding size bytes."""
+    cur = _Reader(f, size)
     if cur.take(4) != MAGIC:
         raise WeightsFormatError(f"bad magic, expected {MAGIC!r}")
     count = cur.u32()
@@ -96,20 +128,19 @@ def deserialize_weights(data: bytes) -> dict[str, Tensor]:
         dims = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
         if any(d < 1 for d in dims):
             raise WeightsFormatError(f"entry {name!r} has zero-sized dim {dims}")
-        n = 1
-        for d in dims:
-            n *= d
-        raw = cur.take(4 * n)
-        arr = np.frombuffer(raw, dtype="<f4", count=n).reshape(dims)
-        try:
-            weights[name] = Tensor(arr)
-        except NumericDomainError as e:
-            raise WeightsFormatError(f"entry {name!r}: {e}") from e
-    if cur.pos != len(data):
-        raise WeightsFormatError(f"{len(data) - cur.pos} trailing bytes after last entry")
+        arr = cur.take_array(dims)
+        if not np.isfinite(arr).all():
+            raise WeightsFormatError(f"entry {name!r}: tensor values must be finite")
+        weights[name] = Tensor._wrap(arr)
+    if cur.pos != size:
+        raise WeightsFormatError(f"{size - cur.pos} trailing bytes after last entry")
     return weights
+
+
+def deserialize_weights(data: bytes) -> dict[str, Tensor]:
+    return _read_weights(io.BytesIO(data), len(data))
 
 
 def read_weights_file(path) -> dict[str, Tensor]:
     with open(path, "rb") as f:
-        return deserialize_weights(f.read())
+        return _read_weights(f, os.fstat(f.fileno()).st_size)

@@ -80,8 +80,9 @@ class TestLogMel:
         audio = AudioBuffer((0.5 * np.sin(2 * np.pi * 1000.0 * t)).astype(np.float32))
         y = frontend.log_mel_energies(audio)
         got = int(np.argmax(y.mean(axis=0)))
-        centers = frontend.mel_center_frequencies()
-        want = int(np.argmin(np.abs(centers - 1000.0)))
+        # 1 kHz is FFT bin 32 exactly; the filter weighting that bin most wins
+        bin_1khz = round(1000.0 * frontend.N_FFT / frontend.SAMPLE_RATE)
+        want = int(np.argmax(frontend._mel_filterbank()[:, bin_1khz]))
         assert got == want
 
     def test_htk_mel_formula(self):
@@ -94,8 +95,8 @@ class TestLogMel:
         # every filter has weight, and interior bins in 0..8 kHz are covered
         assert (fb.max(axis=1) > 0).all()
         bin_hz = np.arange(257) * (16000 / 512)
-        centers = frontend.mel_center_frequencies()
-        interior = (bin_hz > centers[0]) & (bin_hz < centers[-1])
+        peaks = bin_hz[fb.argmax(axis=1)]  # where each filter peaks
+        interior = (bin_hz > peaks[0]) & (bin_hz < peaks[-1])
         assert (fb.sum(axis=0)[interior] > 0).all()
 
     def test_normalization_moments(self):
@@ -131,6 +132,15 @@ class TestLogMel:
         y = log_mel_energies_reference(audio)
         z = (y - y.mean(axis=0)) / (np.sqrt(y.var(axis=0)) + 1e-10)
         got = frontend.log_mel(audio).frames.array
+        assert got.tobytes() == z.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("t_frames", [1, 2, 3, 17, 255, 4097, 60000])
+    def test_normalization_bits_match_mean_var(self, t_frames, monkeypatch):
+        rng = np.random.default_rng(t_frames)
+        y = rng.normal(-6.0, 4.0, size=(t_frames, frontend.N_MELS))
+        monkeypatch.setattr(frontend, "log_mel_energies", lambda audio: y.copy())
+        z = (y - y.mean(axis=0)) / (np.sqrt(y.var(axis=0)) + 1e-10)
+        got = frontend.log_mel(None).frames.array
         assert got.tobytes() == z.astype(np.float32).tobytes()
 
 

@@ -1,11 +1,13 @@
-"""Binary weights file round-trips and format rejection."""
+"""Binary weights file round-trips, format rejection and fuzzing."""
 
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lfab import encoders
+from lfab import cli, encoders, frontend, weights
 from lfab.encoders import EncoderConfig
 from lfab.errors import WeightsFormatError
 from lfab.tensor import Tensor
@@ -75,63 +77,87 @@ class TestRoundTrip:
         assert serialize_weights(rebuilt.weights) == data
 
 
+@pytest.fixture
+def rejects(tmp_path):
+    """Assert that both reader entry points reject data with one message."""
+    path = tmp_path / "w.lfwb"
+
+    def check(data, match):
+        path.write_bytes(data)
+        messages = []
+        for read, source in ((deserialize_weights, data), (read_weights_file, path)):
+            with pytest.raises(WeightsFormatError, match=match) as e:
+                read(source)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    return check
+
+
 class TestFormatErrors:
-    def test_bad_magic(self):
+    def test_bad_magic(self, rejects):
         data = b"XXXX" + serialize_weights(small_weights())[4:]
-        with pytest.raises(WeightsFormatError, match="magic"):
-            deserialize_weights(data)
+        rejects(data, "magic")
 
     @pytest.mark.parametrize("cut", [2, 6, 9, 20, -1])
-    def test_truncation(self, cut):
+    def test_truncation(self, cut, rejects):
         data = serialize_weights(small_weights())
-        with pytest.raises(WeightsFormatError, match="truncated"):
-            deserialize_weights(data[:cut])
+        rejects(data[:cut], "truncated")
 
-    def test_trailing_bytes(self):
+    def test_trailing_bytes(self, rejects):
         data = serialize_weights(small_weights()) + b"\x00"
-        with pytest.raises(WeightsFormatError, match="trailing"):
-            deserialize_weights(data)
+        rejects(data, "trailing")
 
-    def test_duplicate_names(self):
+    def test_duplicate_names(self, rejects):
         one = Tensor(np.ones(2, dtype=np.float32))
         entry = serialize_weights({"x": one})[8:]
         data = MAGIC + struct.pack("<I", 2) + entry + entry
-        with pytest.raises(WeightsFormatError, match="duplicate"):
-            deserialize_weights(data)
+        rejects(data, "duplicate")
 
-    def test_empty_name(self):
+    def test_empty_name(self, rejects):
         body = struct.pack("<I", 0) + struct.pack("<II", 1, 1)
         body += struct.pack("<f", 1.0)
         data = MAGIC + struct.pack("<I", 1) + body
-        with pytest.raises(WeightsFormatError, match="empty entry name"):
-            deserialize_weights(data)
+        rejects(data, "empty entry name")
 
-    def test_zero_dim(self):
+    def test_zero_dim(self, rejects):
         body = struct.pack("<I", 1) + b"x" + struct.pack("<II", 1, 0)
         data = MAGIC + struct.pack("<I", 1) + body
-        with pytest.raises(WeightsFormatError, match="zero-sized"):
-            deserialize_weights(data)
+        rejects(data, "zero-sized")
 
-    def test_ndim_out_of_range(self):
+    def test_ndim_out_of_range(self, rejects):
         body = struct.pack("<I", 1) + b"x" + struct.pack("<I", 9)
         body += struct.pack("<9I", *([1] * 9)) + struct.pack("<f", 1.0)
         data = MAGIC + struct.pack("<I", 1) + body
-        with pytest.raises(WeightsFormatError, match="ndim"):
-            deserialize_weights(data)
+        rejects(data, "ndim")
 
-    def test_non_finite_values_rejected(self):
+    def test_non_finite_values_rejected(self, rejects):
         body = struct.pack("<I", 1) + b"x" + struct.pack("<II", 1, 1)
         body += struct.pack("<f", float("nan"))
         data = MAGIC + struct.pack("<I", 1) + body
-        with pytest.raises(WeightsFormatError, match="finite"):
-            deserialize_weights(data)
+        rejects(data, "finite")
 
-    def test_name_not_utf8(self):
+    def test_name_not_utf8(self, rejects):
         body = struct.pack("<I", 1) + b"\xff" + struct.pack("<II", 1, 1)
         body += struct.pack("<f", 1.0)
         data = MAGIC + struct.pack("<I", 1) + body
-        with pytest.raises(WeightsFormatError, match="UTF-8"):
-            deserialize_weights(data)
+        rejects(data, "UTF-8")
+
+    @pytest.mark.parametrize("dims", [(65536, 65536), (2**32 - 1,) * 8])
+    def test_huge_entry_is_truncated_before_allocating(self, dims, rejects):
+        # a tiny file whose header claims 2**32 or more elements: checked
+        # against the bytes left, never allocated (no MemoryError)
+        body = struct.pack("<I", 1) + b"x" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+        body += struct.pack("<f", 1.0)
+        data = MAGIC + struct.pack("<I", 1) + body
+        rejects(data, "truncated")
+
+    def test_stream_ending_before_its_size(self):
+        # a file that shrinks while it is read: fstat promised more bytes
+        data = serialize_weights(small_weights())
+        for cut in (6, len(data) - 4):
+            with pytest.raises(WeightsFormatError, match="truncated"):
+                weights._read_weights(io.BytesIO(data[:cut]), len(data))
 
 
 class TestLoadingIntoBuild:
@@ -149,3 +175,82 @@ class TestLoadingIntoBuild:
         loaded["prologue.0.dw"] = Tensor.zeros((3, 3))
         with pytest.raises(WeightsFormatError, match="shape"):
             encoders.build(cfg, seed=0, source=loaded)
+
+
+def toy_model_bytes(preset):
+    model = cli.build_model(cli.resolve_run_config(preset), seed=1)
+    return serialize_weights(model.weights)
+
+
+def header_offsets(w):
+    """Byte offsets of every header byte (everything but tensor values)."""
+    offsets, pos = list(range(8)), 8
+    for name, t in w.items():
+        head = 4 + len(name.encode("utf-8")) + 4 + 4 * t.ndim
+        offsets += range(pos, pos + head)
+        pos += head + t.nbytes
+    return offsets
+
+
+def outcome(read, source):
+    try:
+        w = read(source)
+    except WeightsFormatError as e:
+        return "error", str(e)
+    return "ok", [(k, t.shape, t.array.tobytes()) for k, t in w.items()]
+
+
+class TestFuzz:
+    def test_mutations_read_alike_or_fail_alike(self, tmp_path, capsys):
+        data = toy_model_bytes("toy-quartznet2")
+        heads = header_offsets(deserialize_weights(data))
+        rng = np.random.default_rng(20231)
+        path = tmp_path / "m.lfwb"
+        failed = []
+        kinds = {"ok": 0, "error": 0}
+        for case in range(300):
+            mutated = bytearray(data)
+            kind = case % 4
+            if kind == 0:  # one header byte set to a random value
+                mutated[rng.choice(heads)] = rng.integers(256)
+            elif kind == 1:  # one byte anywhere
+                mutated[rng.integers(len(data))] = rng.integers(256)
+            elif kind == 2:  # truncation
+                del mutated[rng.integers(len(data)):]
+            else:  # a large u32 over four header bytes, e.g. a dim
+                at = min(rng.choice(heads), len(data) - 4)
+                mutated[at:at + 4] = struct.pack("<I", rng.integers(2**16, 2**32))
+            mutated = bytes(mutated)
+            path.write_bytes(mutated)
+            got = outcome(deserialize_weights, mutated)
+            assert outcome(read_weights_file, path) == got, case
+            kinds[got[0]] += 1
+            if got[0] == "error" and len(failed) < 4:
+                failed.append(mutated)
+        assert kinds["ok"] > 0 and kinds["error"] > 0, kinds
+
+        wav = tmp_path / "a.wav"
+        frontend.write_wav(wav, frontend.synth_audio(0.5, seed=3))
+        for i, mutated in enumerate(failed):
+            bad = tmp_path / f"bad{i}.lfwb"
+            bad.write_bytes(mutated)
+            code = cli.main(["transcribe", "--config", "toy-quartznet2",
+                             "--weights", str(bad), "--audio", str(wav)])
+            assert code == 4, capsys.readouterr().err
+
+
+class TestReadMemory:
+    def test_peak_is_one_model_plus_one_entry(self, tmp_path):
+        # the reader fills each tensor in place: no whole-file buffer and no
+        # second copy of an entry
+        path = tmp_path / "w.lfwb"
+        path.write_bytes(toy_model_bytes("toy-contextnet"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w = read_weights_file(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        sizes = [t.nbytes for t in w.values()]
+        assert peak <= sum(sizes) + max(sizes), (peak, sum(sizes), max(sizes))
