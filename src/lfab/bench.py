@@ -30,7 +30,7 @@ from .encoders import (
     EncoderModel,
 )
 from .errors import ConfigError
-from .frontend import AudioBuffer
+from .frontend import AudioBuffer, FeatureMatrix
 
 BYTES_PER_ELEMENT = 4
 DEFAULT_REPEATS = 3
@@ -231,12 +231,23 @@ def run_pipeline(model: EncoderModel, decoder: str, audio: AudioBuffer):
     """Front-end, encoder, decode. Returns (hypothesis, stage seconds)."""
     t0 = time.perf_counter()
     fm = frontend.log_mel(audio)
+    return encode_and_decode(model, decoder, fm, time.perf_counter() - t0)
+
+
+def encode_and_decode(model: EncoderModel, decoder: str, fm: FeatureMatrix,
+                      frontend_seconds: float):
+    """Encoder and decode of features that took frontend_seconds to compute.
+
+    Returns (hypothesis, stage seconds) as run_pipeline does. It serves a
+    caller that frees the audio once the features exist, as transcribe does,
+    so that the samples are not live during the encoder.
+    """
     t1 = time.perf_counter()
     enc = encoders.encode(model, fm.frames)
     t2 = time.perf_counter()
     hyp = _decode(model, decoder, enc, encoder_seconds=t2 - t1)
     stages = {
-        "frontend_s": t1 - t0,
+        "frontend_s": frontend_seconds,
         "encoder_s": t2 - t1,
         "decoder_s": hyp.decode_seconds,
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AudioFormatError, ShapeError
+from .errors import AudioFormatError, NumericDomainError, ShapeError
 from .tensor import Tensor
 
 SAMPLE_RATE = 16000
@@ -25,11 +25,16 @@ N_MELS = 80
 FMIN_HZ = 0.0
 FMAX_HZ = 8000.0
 LOG_FLOOR = 1e-10
-# Frames per mel-projection GEMM. BLAS rounding depends on the row count (few
-# rows take other kernels), so this partition fixes the output bits.
-MEL_BATCH = 4096
-# Frames per FFT batch, sized so the window and spectrum buffers stay in cache.
+# Frames per FFT and mel-projection batch, sized so the batch buffers stay in
+# cache.
 STFT_BATCH = 256
+# Fewest rows of a mel-projection GEMM. OpenBLAS rounds a GEMM of fewer rows
+# differently (other kernels); from this height on, a row's bits do not depend
+# on the row count, so a shorter batch is zero-padded to it and a frame's
+# features do not depend on the utterance length.
+MIN_GEMM_ROWS = 16
+# Rows per block of the variance's sum of squares.
+NORM_BLOCK = 512
 
 
 @dataclass
@@ -45,7 +50,7 @@ class AudioBuffer:
             raise AudioFormatError("audio must be a non-empty 1-D sample array")
         if self.sample_rate != SAMPLE_RATE:
             raise AudioFormatError(f"unsupported rate, expected {SAMPLE_RATE}")
-        peak = float(np.abs(self.samples).max())
+        peak = float(max(self.samples.max(), -self.samples.min()))
         if peak > 1.0:
             raise AudioFormatError(f"samples exceed [-1, 1] (peak {peak:.4g})")
 
@@ -148,18 +153,22 @@ def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
     out = np.empty((t_frames, N_MELS), dtype=np.float64)
     # zero past the window, so rfft needs no padding copy
     windowed = np.zeros((min(STFT_BATCH, t_frames), N_FFT), dtype=np.float64)
-    power = np.empty((min(MEL_BATCH, t_frames), N_FFT // 2 + 1), dtype=np.float64)
-    for start in range(0, t_frames, MEL_BATCH):
-        stop = min(start + MEL_BATCH, t_frames)
-        for lo in range(start, stop, STFT_BATCH):
-            hi = min(lo + STFT_BATCH, stop)
-            np.multiply(frames[lo:hi], win, out=windowed[: hi - lo, :WINDOW_SAMPLES])
-            spectrum = np.fft.rfft(windowed[: hi - lo], axis=1)
-            p = power[lo - start : hi - start]
-            np.square(spectrum.real, out=p)
-            p += np.square(spectrum.imag)
-        mel = out[start:stop]
-        np.matmul(power[: stop - start], fb_t, out=mel)
+    power = np.empty((max(min(STFT_BATCH, t_frames), MIN_GEMM_ROWS), N_FFT // 2 + 1),
+                     dtype=np.float64)
+    for lo in range(0, t_frames, STFT_BATCH):
+        hi = min(lo + STFT_BATCH, t_frames)
+        n = hi - lo
+        np.multiply(frames[lo:hi], win, out=windowed[:n, :WINDOW_SAMPLES])
+        spectrum = np.fft.rfft(windowed[:n], axis=1)
+        p = power[:n]
+        np.square(spectrum.real, out=p)
+        p += np.square(spectrum.imag)
+        mel = out[lo:hi]
+        if n < MIN_GEMM_ROWS:
+            power[n:MIN_GEMM_ROWS] = 0.0
+            mel[...] = np.matmul(power[:MIN_GEMM_ROWS], fb_t)[:n]
+        else:
+            np.matmul(p, fb_t, out=mel)
         np.maximum(mel, LOG_FLOOR, out=mel)
         np.log(mel, out=mel)
     return out
@@ -168,11 +177,22 @@ def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
 def log_mel(audio: AudioBuffer) -> FeatureMatrix:
     """Normalized log-mel features: per-feature zero mean / unit variance."""
     y = log_mel_energies(audio)
-    # numpy's own mean/var sequence, with the mean taken and subtracted once
+    t = y.shape[0]
+    # numpy's own mean/var sequence, with the mean taken and subtracted once.
+    # The axis-0 sum adds rows in order, so the squares are summed in blocks
+    # whose row 0 carries the running sum.
     y -= y.mean(axis=0)
-    sigma = np.sqrt(np.square(y).sum(axis=0) / y.shape[0])
-    y /= sigma + 1e-10
-    return FeatureMatrix(frames=Tensor(y))  # Tensor() casts to float32
+    sq = np.zeros((min(NORM_BLOCK, t) + 1, N_MELS), dtype=np.float64)
+    for lo in range(0, t, NORM_BLOCK):
+        hi = min(lo + NORM_BLOCK, t)
+        np.square(y[lo:hi], out=sq[1 : 1 + hi - lo])
+        sq[0] = sq[: 1 + hi - lo].sum(axis=0)
+    sigma = np.sqrt(sq[0] / t)
+    feats = np.divide(y, sigma + 1e-10, out=np.empty(y.shape, dtype=np.float32))
+    del y  # free the energies before the finite check builds its mask
+    if not np.isfinite(feats).all():
+        raise NumericDomainError("tensor values must be finite")
+    return FeatureMatrix(frames=Tensor._wrap(feats))
 
 
 def synth_audio(duration_s: float, seed: int) -> AudioBuffer:

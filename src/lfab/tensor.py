@@ -5,8 +5,9 @@ Design rules, enforced here so every higher layer inherits them:
 - storage is always contiguous row-major float32; reductions (matmul, conv,
   norm statistics, softmax) accumulate in float64 and round once on output;
 - kernels may reorder memory but never arithmetic: tiles, in-place ufuncs
-  and skipped all-zero padding taps are allowed, a new summation order or
-  BLAS call shape is not, so every speedup is byte-identical;
+  and skipped all-zero padding taps are allowed, a new summation order or a
+  BLAS call shape that rounds differently is not, so every speedup is
+  byte-identical;
 - operations are pure: inputs are never written, repeated calls are
   bit-identical;
 - "same" padding splits K-1 as floor((K-1)/2) left, ceil((K-1)/2) right;
@@ -160,6 +161,17 @@ def _resolve_padding(padding, k: int) -> tuple[int, int]:
     raise ShapeError(f"padding must be 'same' or a non-negative int, got {padding!r}")
 
 
+def _conv_geometry(t: int, k: int, stride: int, padding) -> tuple[int, int, int]:
+    """(left padding, right padding, output length) of a conv over T columns."""
+    pad_l, pad_r = _resolve_padding(padding, k)
+    t_padded = t + pad_l + pad_r
+    if t_padded < k:
+        raise ShapeError(
+            f"time axis too short: T={t} with padding {pad_l}+{pad_r} < kernel {k}"
+        )
+    return pad_l, pad_r, (t_padded - k) // stride + 1
+
+
 def conv1d(
     x: Tensor,
     w: Tensor,
@@ -194,18 +206,14 @@ def conv1d(
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias out_channels axis: expected ({c_out},), got {bias.shape}")
 
-    pad_l, pad_r = _resolve_padding(padding, k)
-    t_padded = t + pad_l + pad_r
-    if t_padded < k:
-        raise ShapeError(
-            f"time axis too short: T={t} with padding {pad_l}+{pad_r} < kernel {k}"
-        )
-    t_out = (t_padded - k) // stride + 1
+    pad_l, pad_r, t_out = _conv_geometry(t, k, stride, padding)
 
     w64 = w._a.astype(np.float64)
     b64 = None if bias is None else bias._a.astype(np.float64)[:, None]
     if c_in_g == 1 and groups == c_in and c_out == c_in:
-        return Tensor._wrap(_depthwise_conv1d(xa, w64[:, 0], b64, stride, pad_l, t_out))
+        out32 = np.empty((c_out, t_out), dtype=np.float32)
+        _depthwise_conv1d(xa, w64[:, 0], b64, stride, pad_l, out32)
+        return Tensor._wrap(out32)
     if k == 1 and stride == 1 and groups == 1 and pad_l == pad_r == 0:
         # pointwise: one GEMM. BLAS accumulators start at +0.0, so this
         # equals the zero-initialised sum of the general loop below. The
@@ -216,7 +224,7 @@ def conv1d(
         x64[...] = xa
         out = w64[:, :, 0] @ x64
     else:
-        xp = np.zeros((c_in, t_padded), dtype=np.float64)
+        xp = np.zeros((c_in, t + pad_l + pad_r), dtype=np.float64)
         xp[:, pad_l : pad_l + t] = xa
         out = np.zeros((c_out, t_out), dtype=np.float64)
         last = 1 + stride * (t_out - 1)
@@ -232,22 +240,24 @@ def conv1d(
     return Tensor._wrap(out.astype(np.float32))
 
 
-def _depthwise_conv1d(xa, w64, b64, stride: int, pad_l: int, t_out: int) -> np.ndarray:
-    """Depthwise conv of float32 (C, T) by float64 (C, K) taps, as float32.
+def _depthwise_conv1d(xa, w64, b64, stride: int, pad_l: int, out: np.ndarray) -> None:
+    """Depthwise conv of float32 (C, T) by float64 (C, K) taps into out.
 
-    Works on tiles of output columns, so its float64 input, product and sum
-    buffers stay in cache and no padded copy exists. Per output element the
-    sum starts at +0.0 and adds the taps in order; a tap that would read
-    padding would add a signed zero, which leaves such a sum unchanged, so
-    it is skipped.
+    Each output is rounded to float32; out is float32, or float64 when it is
+    the input of the pointwise GEMM that follows. Works on tiles of output
+    columns, so its float64 input, product and sum buffers stay in cache and
+    no padded copy exists. Per output element the sum starts at +0.0 and adds
+    the taps in order; a tap that would read padding would add a signed zero,
+    which leaves such a sum unchanged, so it is skipped.
     """
     c, t = xa.shape
     k = w64.shape[1]
-    out = np.empty((c, t_out), dtype=np.float32)
+    t_out = out.shape[1]
     tile = min(max(1, DEPTHWISE_TILE_BYTES // (8 * c)), t_out)
     xs = np.empty((c, (tile - 1) * stride + k), dtype=np.float64)
     acc = np.empty((c, tile), dtype=np.float64)
     prod = np.empty((c, tile), dtype=np.float64)
+    rounded = np.empty((c, tile), dtype=np.float32)
     for j0 in range(0, t_out, tile):
         j1 = min(j0 + tile, t_out)
         # input columns the tile reads, clipped to the real input
@@ -269,8 +279,9 @@ def _depthwise_conv1d(xa, w64, b64, stride: int, pad_l: int, t_out: int) -> np.n
             a[:, ja - j0 : jb - j0] += p
         if b64 is not None:
             a += b64
-        out[:, j0:j1] = a
-    return out
+        r = rounded[:, : j1 - j0]
+        r[...] = a
+        out[:, j0:j1] = r
 
 
 def depthwise_separable_conv1d(
@@ -294,8 +305,15 @@ def depthwise_separable_conv1d(
         raise ShapeError(f"channels axis: input has {x.shape[0]}, depthwise weight has {c}")
     if w_pw.shape[1] != c:
         raise ShapeError(f"channels axis: pointwise expects {w_pw.shape[1]}, depthwise yields {c}")
-    y = conv1d(x, Tensor._wrap(w_dw._a.reshape(c, 1, k)), stride=stride, padding=padding, groups=c)
-    return conv1d(y, Tensor._wrap(w_pw._a.reshape(w_pw.shape[0], c, 1)))
+    xa = _as2d(x, "conv1d input (channels, time)")
+    if stride < 1:
+        raise ShapeError(f"stride must be >= 1, got {stride}")
+    pad_l, _, t_out = _conv_geometry(xa.shape[1], k, stride, padding)
+    # the depthwise output goes straight into the float64 input of the
+    # pointwise GEMM, built with np.zeros for the reason given in conv1d
+    y64 = np.zeros((c, t_out), dtype=np.float64)
+    _depthwise_conv1d(xa, w_dw._a.astype(np.float64), None, stride, pad_l, y64)
+    return Tensor._wrap((w_pw._a.astype(np.float64) @ y64).astype(np.float32))
 
 
 def separable_param_count(c_in: int, c_out: int, k: int) -> int:
@@ -331,12 +349,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = xa.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"features axis: gamma/beta expected ({d},)")
-    x64 = xa.astype(np.float64)
-    mu = x64.mean(axis=1, keepdims=True)
-    var = np.square(x64 - mu).mean(axis=1, keepdims=True)
-    y = (x64 - mu) / np.sqrt(var + eps)
-    y = y * gamma._a.astype(np.float64) + beta._a.astype(np.float64)
-    return Tensor._wrap(y.astype(np.float32))
+    y = xa.astype(np.float64)
+    y -= y.mean(axis=1, keepdims=True)
+    y /= np.sqrt(np.square(y).mean(axis=1, keepdims=True) + eps)
+    y *= gamma._a.astype(np.float64)
+    return Tensor._wrap(np.add(y, beta._a.astype(np.float64),
+                               out=np.empty(xa.shape, dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +365,21 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._wrap(np.maximum(x._a, np.float32(0.0)))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = np.negative(x._a, dtype=np.float64)
+def _sigmoid32(xa: np.ndarray) -> np.ndarray:
+    y = np.negative(xa, dtype=np.float64)
     np.exp(y, out=y)
     y += 1.0
-    return Tensor._wrap(np.divide(1.0, y, out=np.empty(x.shape, dtype=np.float32)))
+    return np.divide(1.0, y, out=np.empty(xa.shape, dtype=np.float32))
 
 
-def tanh(x: Tensor) -> Tensor:
-    return Tensor._wrap(np.tanh(x._a.astype(np.float64)).astype(np.float32))
+def sigmoid(x: Tensor) -> Tensor:
+    return Tensor._wrap(_sigmoid32(x._a))
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x), composed from the sigmoid above so they agree exactly."""
-    return mul(x, sigmoid(x))
+    """x * sigmoid(x), the float32 product of the sigmoid above, in its buffer."""
+    s = _sigmoid32(x._a)
+    return Tensor._wrap(np.multiply(x._a, s, out=s))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -445,16 +464,27 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     receive weight; masked positions come out exactly 0. A row with every
     position masked is an error.
     """
-    x64 = x._a.astype(np.float64)
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), x64.shape)
+    y = x._a.astype(np.float64)
+    if mask is None:
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+    else:
+        m = np.asarray(mask, dtype=bool)
+        np.broadcast_to(m, y.shape)  # raises unless the mask broadcasts
         if not m.any(axis=-1).all():
             raise NumericDomainError("empty attention row: all positions masked for some query")
-        x64 = np.where(m, x64, -np.inf)
-    rowmax = x64.max(axis=-1, keepdims=True)
-    e = np.exp(x64 - rowmax)
-    out = e / e.sum(axis=-1, keepdims=True)
-    return Tensor._wrap(out.astype(np.float32))
+        # bias and keep have the mask's shape, not the scores'. Zeroing the
+        # masked slots before exp keeps its input finite (exp is slow on
+        # -inf); zeroing them again after gives exp(-inf) = +0.0, as masking
+        # with -inf did.
+        bias = np.where(m, 0.0, -np.inf)
+        y -= (y + bias).max(axis=-1, keepdims=True)
+        keep = m.astype(np.float64)
+        y *= keep
+        np.exp(y, out=y)
+        y *= keep
+    return Tensor._wrap(np.divide(y, y.sum(axis=-1, keepdims=True),
+                                  out=np.empty(x.shape, dtype=np.float32)))
 
 
 def argmax_rows(x: Tensor) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Bench tests: RTF arithmetic, memory model, duration search, divergence."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lfab import bench, decoders, encoders, frontend, tensor
+from lfab import bench, cli, decoders, encoders, frontend, tensor
 from lfab.attention import AttentionConfig
 from lfab.bench import (
     CSV_HEADER,
@@ -148,6 +151,25 @@ class TestMemoryModel:
             ratios.append(s.measured_peak_bytes / s.predicted_peak_bytes)
         assert all(0.5 <= r <= 2.0 for r in ratios), ratios
         assert max(ratios) / min(ratios) <= 1.5, ratios
+
+    @pytest.mark.parametrize("preset", sorted(p for p in cli.PRESETS if p.startswith("toy-")))
+    def test_heap_peak_within_2x(self, preset):
+        # the measured heap, kernel temporaries included, against the model;
+        # the features are live during encode on both sides
+        rc = cli.resolve_run_config(preset)
+        model = encoders.build(rc.encoder, seed=0)
+        for seconds in (30, 120):
+            feats = frontend.log_mel(frontend.synth_audio(seconds, seed=1)).frames
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                encoders.encode(model, feats)
+                heap = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            predicted = predict_peak_bytes(rc.encoder, feats.shape[0])
+            assert heap + feats.nbytes <= 2 * predicted, (seconds, (heap + feats.nbytes) / predicted)
 
     def test_track_measured_peak_single_tensor(self):
         peak = track_measured_peak(lambda: Tensor(np.zeros(1000, dtype=np.float32)))

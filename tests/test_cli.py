@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ class TestTranscribe:
         assert code == 0
         assert out == "".join(texts)
         assert out.count("\n") == 3
+
+    def test_samples_freed_before_encode(self, capsys, tone_wav, monkeypatch):
+        samples, alive_at_encode = [], []
+        read_wav, encode = frontend.read_wav, encoders.encode
+
+        def tracked_read(path):
+            audio = read_wav(path)
+            samples.append(weakref.ref(audio.samples))
+            return audio
+
+        def checked_encode(model, feats):
+            alive_at_encode.append(samples[-1]() is not None)
+            return encode(model, feats)
+
+        monkeypatch.setattr(frontend, "read_wav", tracked_read)
+        monkeypatch.setattr(encoders, "encode", checked_encode)
+        for decoder in ("ctc", "rnnt"):
+            code, _, _ = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                             "--audio", tone_wav, "--decoder", decoder)
+            assert code == 0
+        assert alive_at_encode == [False, False]
 
     def test_weights_file_matches_seeded_build(self, capsys, tone_wav, tmp_path):
         wpath = tmp_path / "w.lfwb"

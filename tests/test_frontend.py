@@ -1,6 +1,8 @@
 """Front-end tests: framing law, mel geometry, wav round-trips, synth audio."""
 
+import gc
 import math
+import tracemalloc
 import wave
 
 import numpy as np
@@ -12,21 +14,19 @@ from lfab.frontend import AudioBuffer
 
 
 def log_mel_energies_reference(audio):
-    """The fancy-indexed STFT in 4096-frame batches used before the strided
-    rewrite: the exact bits log_mel_energies must keep."""
+    """Fancy-indexed STFT of every frame, then one mel GEMM at least as tall
+    as the 4096-frame batches of the original front end (zero rows pad a
+    shorter input): the bits log_mel_energies must give every frame."""
     x = audio.samples.astype(np.float64)
     t_frames = frontend.num_frames_for(x.size)
     fb = frontend._mel_filterbank()
     win = frontend._hann_window()
-    out = np.empty((t_frames, frontend.N_MELS), dtype=np.float64)
-    for start in range(0, t_frames, 4096):
-        stop = min(start + 4096, t_frames)
-        idx = start * 160 + np.arange(stop - start)[:, None] * 160
-        frames = x[idx + np.arange(400)] * win
-        spectrum = np.fft.rfft(frames, n=512, axis=1)
-        power = spectrum.real**2 + spectrum.imag**2
-        out[start:stop] = np.log(np.maximum(power @ fb.T, 1e-10))
-    return out
+    idx = np.arange(t_frames)[:, None] * 160
+    frames = x[idx + np.arange(400)] * win
+    spectrum = np.fft.rfft(frames, n=512, axis=1)
+    power = np.zeros((max(t_frames, 4096), 257))
+    power[:t_frames] = spectrum.real**2 + spectrum.imag**2
+    return np.log(np.maximum((power @ fb.T)[:t_frames], 1e-10))
 
 
 def audio_with_frames(t_frames, seed):
@@ -107,20 +107,27 @@ class TestLogMel:
 
     def test_batched_stft_matches_unbatched(self):
         # the head straddles the FFT batch boundary; the long run spans
-        # several FFT batches and two mel-projection batches
+        # many FFT batches
         audio = frontend.synth_audio(45.0, seed=9)
         y = frontend.log_mel_energies(audio)
         n = frontend.STFT_BATCH + 44
         head = frontend.log_mel_energies(AudioBuffer(audio.samples[: 400 + 160 * (n - 1)]))
         assert y[:n].tobytes() == head.tobytes()
-        # frame f + MEL_BATCH of the long run is frame f of the cut audio
-        cut = AudioBuffer(audio.samples[160 * frontend.MEL_BATCH :])
-        assert y[frontend.MEL_BATCH :].tobytes() == frontend.log_mel_energies(cut).tobytes()
+        # frame f + 4096 of the long run is frame f of the cut audio
+        cut = AudioBuffer(audio.samples[160 * 4096 :])
+        assert y[4096:].tobytes() == frontend.log_mel_energies(cut).tobytes()
+
+    @pytest.mark.parametrize("t_frames", [1, 15, 4097, 4111, 2 * 4096 + 1])
+    def test_prefix_frames_keep_their_bits(self, t_frames):
+        # a batch of fewer than MIN_GEMM_ROWS frames is padded, so a prefix
+        # of the audio gets the same features as the whole
+        audio = audio_with_frames(t_frames + 40, seed=t_frames)
+        whole = frontend.log_mel_energies(audio)
+        prefix = AudioBuffer(audio.samples[: 400 + 160 * (t_frames - 1)])
+        assert frontend.log_mel_energies(prefix).tobytes() == whole[:t_frames].tobytes()
 
     @pytest.mark.parametrize("t_frames", [
-        1, 2, frontend.STFT_BATCH - 1, frontend.STFT_BATCH, frontend.STFT_BATCH + 1,
-        2 * frontend.STFT_BATCH + 15, frontend.MEL_BATCH - 1, frontend.MEL_BATCH,
-        frontend.MEL_BATCH + 1, frontend.MEL_BATCH + frontend.STFT_BATCH + 1,
+        1, 2, 255, 256, 257, 527, 4095, 4096, 4097, 4353,
     ])
     def test_energies_bits_match_reference(self, t_frames):
         audio = audio_with_frames(t_frames, seed=t_frames)
@@ -142,6 +149,29 @@ class TestLogMel:
         z = (y - y.mean(axis=0)) / (np.sqrt(y.var(axis=0)) + 1e-10)
         got = frontend.log_mel(None).frames.array
         assert got.tobytes() == z.astype(np.float32).tobytes()
+
+
+class TestMemory:
+    def test_log_mel_heap_peak(self):
+        # no full-size temporary beyond the float64 energies, the float32
+        # features and the finite check's mask
+        audio = frontend.synth_audio(120.0, seed=3)
+        t = frontend.num_frames_for(audio.samples.size)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            frontend.log_mel(audio)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows, bins = frontend.STFT_BATCH, frontend.N_FFT // 2 + 1
+        # windowed frames, power, the complex spectrum and its squared
+        # imaginary part; the variance's block of squares
+        batch_buffers = (8 * rows * frontend.N_FFT + 8 * rows * bins + 16 * rows * bins
+                         + 8 * rows * bins + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS)
+        cells = t * frontend.N_MELS
+        assert peak <= 8 * cells + 4 * cells + cells + batch_buffers
 
 
 class TestWavIO:
@@ -186,6 +216,15 @@ class TestWavIO:
         frontend.write_wav(back, frontend.read_wav(src))
         with wave.open(str(src)) as a, wave.open(str(back)) as b:
             assert a.readframes(a.getnframes()) == b.readframes(b.getnframes())
+
+
+class TestAudioBuffer:
+    def test_peak_check_covers_both_signs(self):
+        AudioBuffer(np.array([1.0, -1.0, 0.5], dtype=np.float32))
+        for samples, peak in (([0.5, -2.0, 1.5], "2"), ([1.25, -0.5], "1.25")):
+            with pytest.raises(AudioFormatError, match=r"samples exceed \[-1, 1\] "
+                               rf"\(peak {peak}\)"):
+                AudioBuffer(np.array(samples, dtype=np.float32))
 
 
 class TestSynthAudio:

@@ -77,6 +77,26 @@ def assert_conv_bits(x, w, b=None, **kw):
     assert got.array.tobytes() == conv1d_reference(x, w, b, **kw).tobytes()
 
 
+def softmax_reference(x, mask=None):
+    """softmax_rows before it worked in place: -inf where masked, then
+    out-of-place max subtraction, exp and division."""
+    x64 = x.astype(np.float64)
+    if mask is not None:
+        x64 = np.where(np.broadcast_to(mask, x64.shape), x64, -np.inf)
+    e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+
+def layer_norm_reference(x, gamma, beta, eps=1e-5):
+    """layer_norm before it worked in place."""
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=1, keepdims=True)
+    var = np.square(x64 - mu).mean(axis=1, keepdims=True)
+    y = (x64 - mu) / np.sqrt(var + eps)
+    y = y * gamma.astype(np.float64) + beta.astype(np.float64)
+    return y.astype(np.float32)
+
+
 class TestConv1dBitExact:
     """Fast conv1d paths against the padded reference loop, byte for byte."""
 
@@ -240,6 +260,29 @@ class TestSeparableConv:
             stage2 = conv1d_oracle(stage1, w_pw.reshape(9, 6, 1))
             np.testing.assert_allclose(got.array, stage2, rtol=1e-5, atol=1e-5)
 
+    def test_bits_match_two_conv1d_calls(self):
+        # the old composition: a float32 depthwise output, then the pointwise conv
+        rng = np.random.default_rng(13)
+        for c, c_out, k, t in ((6, 9, 7, 1), (6, 9, 7, 24), (64, 64, 5, 3001), (1, 3, 3, 5)):
+            x = signed_zero_input(rng, (c, t))
+            w_dw = rng.standard_normal((c, k)).astype(np.float32)
+            w_pw = rng.standard_normal((c_out, c)).astype(np.float32)
+            w_pw[0] = -np.abs(w_pw[0])
+            for stride in (1, 2):
+                y = conv1d_reference(x, w_dw.reshape(c, 1, k), stride=stride, groups=c)
+                want = conv1d_reference(y, w_pw.reshape(c_out, c, 1))
+                got = tensor.depthwise_separable_conv1d(
+                    Tensor(x), Tensor(w_dw), Tensor(w_pw), stride=stride)
+                assert got.array.tobytes() == want.tobytes()
+
+    def test_conv1d_errors_kept(self):
+        x = Tensor(np.ones((4, 2)))
+        w_dw, w_pw = Tensor(np.ones((4, 9))), Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="time axis too short"):
+            tensor.depthwise_separable_conv1d(x, w_dw, w_pw, padding=0)
+        with pytest.raises(ShapeError, match="stride must be >= 1"):
+            tensor.depthwise_separable_conv1d(x, w_dw, w_pw, stride=0)
+
     def test_param_count_formula(self):
         # K=7, C=C'=64: dense kernel 28672 params vs separable 4544
         assert 7 * 64 * 64 == 28672
@@ -286,6 +329,18 @@ class TestNorms:
         with pytest.raises(NumericDomainError):
             tensor.batch_norm_infer(x, one, zero, zero, Tensor([-2.0]), eps=1e-5)
 
+    def test_layer_norm_bits_match_out_of_place_formula(self):
+        rng = np.random.default_rng(19)
+        for rows, d in ((1, 2), (7, 64), (300, 80)):
+            x = signed_zero_input(rng, (rows, d)) * np.float32(30.0)
+            x[0] = 3.0  # a constant row
+            gamma, beta = (rng.standard_normal(d).astype(np.float32) for _ in range(2))
+            beta[0] = -0.0
+            for eps in (1e-5, 1e-12):
+                got = tensor.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=eps)
+                want = layer_norm_reference(x, gamma, beta, eps)
+                assert got.array.tobytes() == want.tobytes()
+
     def test_layer_norm_symmetric_row(self):
         y = tensor.layer_norm(Tensor([[-1.0, 1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
         np.testing.assert_allclose(y.array, [[-1.0, 1.0]], atol=1e-5)
@@ -322,15 +377,10 @@ class TestElementwise:
 
     def test_silu_recomposition_exact(self):
         rng = np.random.default_rng(23)
-        x = Tensor(rng.standard_normal((4, 16)))
-        np.testing.assert_array_equal(
-            tensor.silu(x).array, tensor.mul(x, tensor.sigmoid(x)).array
-        )
+        x = Tensor(signed_zero_input(rng, (16, 513)) * np.float32(20.0))
+        want = tensor.mul(x, tensor.sigmoid(x)).array
+        assert tensor.silu(x).array.tobytes() == want.tobytes()
 
-    def test_tanh_odd(self):
-        x = Tensor(np.linspace(-3, 3, 13))
-        neg = Tensor(-np.linspace(-3, 3, 13))
-        np.testing.assert_allclose(tensor.tanh(x).array, -tensor.tanh(neg).array, atol=1e-7)
 
 
 class TestMatmulSoftmax:
@@ -380,6 +430,44 @@ class TestMatmulSoftmax:
         a = tensor.softmax_rows(x)
         b = tensor.softmax_rows(x, np.ones((6, 9), dtype=bool))
         np.testing.assert_array_equal(a.array, b.array)
+
+    def test_unmasked_bits_match_reference(self):
+        rng = np.random.default_rng(43)
+        for shape in ((1, 1), (8, 12), (4, 50, 50), (2, 3, 17, 40)):
+            x = (rng.standard_normal(shape) * rng.choice([0.1, 8.0, 200.0])).astype(np.float32)
+            got = tensor.softmax_rows(Tensor(x))
+            assert got.array.tobytes() == softmax_reference(x).tobytes()
+
+    @pytest.mark.parametrize("t, left, right", [(10, 2, 3), (40, 16, 16), (33, 0, 0)])
+    def test_band_and_global_token_masks_bits_match_reference(self, t, left, right):
+        from lfab.attention import band_mask, global_token_mask
+
+        rng = np.random.default_rng(t)
+        for mask in (band_mask(t, left, right), global_token_mask(t, left, right)):
+            n = mask.shape[0]
+            # scores far above the row max in masked slots: exp of them
+            # would overflow if masked slots were not zeroed first
+            x = (rng.standard_normal((4, n, n)) * 5).astype(np.float32)
+            x[:, ~mask] += np.float32(2000.0)
+            got = tensor.softmax_rows(Tensor(x), mask[None])
+            assert got.array.tobytes() == softmax_reference(x, mask[None]).tobytes()
+
+    def test_chunked_mask_shapes_bits_match_reference(self):
+        # the chunked band engine's (1, chunks, cs, slots) mask, with and
+        # without the global-token column, and a mask broadcast along rows
+        rng = np.random.default_rng(47)
+        n, cs, win = 5, 8, 24
+        band = np.arange(win)[None, :] - np.arange(cs)[:, None]
+        mask = np.broadcast_to((band >= 0) & (band <= 16), (n, cs, win)).copy()
+        mask[0, :, :8] = False
+        mask[-1, 5:, :] = False
+        mask[-1, 5:, 0] = True
+        gt = np.concatenate([mask, np.ones((n, cs, 1), dtype=bool)], axis=2)
+        gt[-1, 5:, -1] = False
+        for m in (mask, gt, mask[:1, :1]):
+            x = (rng.standard_normal((4, n, cs, m.shape[-1])) * 9).astype(np.float32)
+            got = tensor.softmax_rows(Tensor(x), m[None])
+            assert got.array.tobytes() == softmax_reference(x, m[None]).tobytes()
 
     def test_fully_masked_row_raises(self):
         x = Tensor(np.ones((2, 3)))
