@@ -350,7 +350,8 @@ def ctc_rnnt_divergence(
     only place the two pipelines differ; folding in the shared encoder
     would just dilute the quotient with an identical term. Decode walls
     take the fastest of the repeats: sub-millisecond stages carry additive
-    scheduler noise that medians do not fully reject.
+    scheduler noise that medians do not fully reject. The repeats alternate
+    CTC and RNNT, so both decoders sample the same stretch of machine speed.
 
     When the per-frame emission rate is held exactly constant across the
     sweep (equal joint evals per frame at every duration), the ratio must
@@ -366,8 +367,8 @@ def ctc_rnnt_divergence(
         walls = {"ctc": [], "rnnt": []}
         decodes = {"ctc": [], "rnnt": []}
         with _timed_section():
-            for kind in ("ctc", "rnnt"):
-                for _ in range(repeats):
+            for _ in range(repeats):
+                for kind in ("ctc", "rnnt"):
                     hyp, stages = run_pipeline(model, kind, audio)
                     walls[kind].append(sum(stages.values()))
                     decodes[kind].append(stages["decoder_s"])

@@ -90,22 +90,13 @@ def ctc_greedy(logits: Tensor, vocab: Vocab, encoder_seconds: float = 0.0) -> Hy
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def joint(enc_t: Tensor, pred_h: Tensor, w: RnntDecoderWeights) -> Tensor:
-    """Joint network logits for one (frame, prediction-state) pair."""
-    if enc_t.shape != (w.w_enc.shape[1],):
-        raise ShapeError(f"encoder frame must be ({w.w_enc.shape[1]},), got {enc_t.shape}")
-    if pred_h.shape != (w.w_pred.shape[1],):
-        raise ShapeError(f"prediction state must be ({w.w_pred.shape[1]},), got {pred_h.shape}")
-    z = (
-        w.w_enc.array.astype(np.float64) @ enc_t.array.astype(np.float64)
-        + w.w_pred.array.astype(np.float64) @ pred_h.array.astype(np.float64)
-        + w.b_joint.array.astype(np.float64)
-    )
-    return Tensor._wrap((w.w_out.array.astype(np.float64) @ np.tanh(z)).astype(np.float32))
+def _stacked_prediction(w_h: np.ndarray, w_pred: np.ndarray):
+    """[w_h; w_pred], an output buffer for its gemv, and the views of that
+    buffer that hold w_h @ h and w_pred @ h. The w_h rows come first (see
+    rnnt_greedy)."""
+    w_hp = np.concatenate([w_h, w_pred])
+    hp = np.empty(w_hp.shape[0])
+    return w_hp, hp, hp[: w_h.shape[0]], hp[w_h.shape[0] :]
 
 
 def rnnt_greedy(
@@ -123,13 +114,31 @@ def rnnt_greedy(
     which one more evaluation is spent and the frame is force-advanced.
 
     Work runs only as often as its inputs change: head weights are cast to
-    float64 once per call, w_enc @ enc_t is taken once per frame, w_pred @ h
-    once per emission and lstm_w_x @ embedding[k] once per token id. A joint
-    evaluation is then tanh(a + p + b_joint), w_out @, a float32 cast and an
-    argmax (lowest index wins ties). The encoder projection stays a per-frame
-    matrix-vector product, not one (T', D) GEMM, because GEMM rows can differ
-    from gemv in the last bits; so every float64 value, and every token, is
-    the same as when each evaluation recomputes every projection.
+    float64 once per call, w_enc @ enc_t is taken once per frame and
+    lstm_w_x @ embedding[k] once per token id. A joint evaluation is
+    tanh((a + p) + b_joint), w_out @, a float32 cast and an argmax (lowest
+    index wins ties). After each LSTM step one gemv of the stacked
+    [lstm_w_h; w_pred] gives both w_h @ h, for the next step's gates
+    (wx + w_h @ h) + b, and p = w_pred @ h, for the joint. The w_h rows come
+    first: OpenBLAS's gemv rounds a row by its place in a block of 4 rows,
+    and 4H is a multiple of 4, so every row of the stacked product has the
+    bits of the separate products (tests/test_decoders.py guards this); with
+    w_pred first, most draws differ. A 1-row w_pred would differ either way,
+    as numpy calls another BLAS routine for it; RNNT_JOINT_DIM is 64.
+
+    The loop is written for the fewest numpy calls: every step writes into
+    buffers made once per call, with out passed by position, and every
+    product is np.dot(a, x, out), which gives the bits of @. The i, f, o rows
+    of lstm_w_x, lstm_w_h and lstm_b are negated once, so those gates hold -z
+    and the sigmoid 1 / (1 + exp(-z)) needs no negation pass: negating an
+    operand negates every product and every rounded sum exactly, so exp sees
+    the bits of -z (only a zero's sign can differ, and exp(+-0) = 1). c and
+    tanh(g) sit side by side, lined up with the i and f gates, so one
+    multiply gives both i * tanh(g) and f * c. The encoder projection stays
+    a per-frame matrix-vector product, not one (T', D) GEMM, because GEMM
+    rows can differ from gemv in the last bits. So every float64 value, and
+    every token, is the same as when each evaluation recomputes every
+    projection.
     """
     if encoded.ndim != 2 or encoded.shape[1] != w.w_enc.shape[1]:
         raise ShapeError(
@@ -149,36 +158,65 @@ def rnnt_greedy(
                   w.w_enc, w.w_pred, w.b_joint, w.w_out)
     )
     hidden = w_h.shape[1]
+    for m in (w_x, w_h, b):
+        m[: 3 * hidden] *= -1.0  # the i, f, o gates hold -z
+    w_hp, hp, w_h_h, p = _stacked_prediction(w_h, w_pred)
+    gates = np.empty(4 * hidden)  # gate order i, f, o, g
+    ifo, g = gates[: 3 * hidden], gates[3 * hidden :]
+    i_f, o_gate = ifo[: 2 * hidden], ifo[2 * hidden :]
+    tc = np.zeros(2 * hidden)  # [tanh(g); c], lined up with [i; f]
+    tanh_g, c = tc[:hidden], tc[hidden:]
+    prod = np.empty(2 * hidden)  # [i * tanh(g); f * c]
+    ig, fc = prod[:hidden], prod[hidden:]
+    h = np.zeros(hidden)
+    a, z = np.empty(w_enc.shape[0]), np.empty(w_enc.shape[0])
+    logit = np.empty(w_out.shape[0])
+    logit32 = np.empty(w_out.shape[0], dtype=np.float32)
+    dot, add, multiply, tanh, exp, divide = (
+        np.dot, np.add, np.multiply, np.tanh, np.exp, np.divide)
+    argmax = logit32.argmax
     x_proj: dict[int, np.ndarray] = {}  # token id -> w_x @ embed[k]
 
-    def lstm_step(wx, h, c):
-        gates = wx + w_h @ h + b  # gate order i, f, o, g
-        ifo = _sigmoid(gates[: 3 * hidden])
-        c_new = ifo[hidden : 2 * hidden] * c + ifo[:hidden] * np.tanh(gates[3 * hidden :])
-        return ifo[2 * hidden :] * np.tanh(c_new), c_new
+    def lstm_step(wx):
+        """h, c <- LSTM(wx, h, c); then w_h @ h and p from one gemv."""
+        add(wx, w_h_h, gates)  # gates <- (wx + w_h @ h) + b
+        add(gates, b, gates)
+        exp(ifo, ifo)  # sigmoid: ifo <- 1 / (1 + exp(-z))
+        add(ifo, 1.0, ifo)
+        divide(1.0, ifo, ifo)
+        tanh(g, tanh_g)
+        multiply(i_f, tc, prod)
+        add(fc, ig, c)  # c <- f * c + i * tanh(g)
+        tanh(c, h)
+        multiply(o_gate, h, h)  # h <- o * tanh(c)
+        dot(w_hp, h, hp)
 
     # blank priming: one step on the zero input vector from the zero state
-    state = np.zeros(hidden, dtype=np.float64)
-    h, c = lstm_step(w_x @ np.zeros(embed.shape[1], dtype=np.float64), state, state)
-    p = w_pred @ h
+    dot(w_hp, h, hp)
+    lstm_step(dot(w_x, np.zeros(embed.shape[1])))
 
     enc64 = encoded.array.astype(np.float64)
     token_ids: list[int] = []
+    emit = token_ids.append
     joint_evals = 0
     for t in range(enc64.shape[0]):
-        a = w_enc @ enc64[t]
+        dot(w_enc, enc64[t], a)
         emitted = 0
         while True:
-            k = int((w_out @ np.tanh(a + p + b_joint)).astype(np.float32).argmax())
+            add(a, p, z)  # z <- tanh((a + p) + b_joint)
+            add(z, b_joint, z)
+            tanh(z, z)
+            dot(w_out, z, logit)
+            logit32[...] = logit
+            k = int(argmax())
             joint_evals += 1
             if k == blank or emitted == max_symbols_per_frame:
                 break  # blank, or over-cap token discarded: advance frame
-            token_ids.append(k)
+            emit(k)
             wx = x_proj.get(k)
             if wx is None:
-                wx = x_proj[k] = w_x @ embed[k]
-            h, c = lstm_step(wx, h, c)
-            p = w_pred @ h
+                wx = x_proj[k] = dot(w_x, embed[k])
+            lstm_step(wx)
             emitted += 1
     return Hypothesis(
         token_ids=token_ids,

@@ -9,9 +9,9 @@ from lfab.decoders import (
     Hypothesis,
     RnntDecoderWeights,
     Vocab,
+    _stacked_prediction,
     ctc_greedy,
     default_vocab,
-    joint,
     rnnt_greedy,
 )
 from lfab.errors import ShapeError
@@ -170,28 +170,61 @@ class TestCtcGreedy:
         assert hyp.decode_seconds >= 0.0
 
 
-class TestLstmAndJoint:
-    def test_joint_matches_manual(self):
-        w = make_rnnt_weights(seed=3)
-        rng = np.random.default_rng(4)
-        enc_t = rng.standard_normal(16).astype(np.float32)
-        pred_h = rng.standard_normal(12).astype(np.float32)
-        got = joint(Tensor(enc_t), Tensor(pred_h), w).array
-        z = (
-            w.w_enc.array.astype(np.float64) @ enc_t.astype(np.float64)
-            + w.w_pred.array.astype(np.float64) @ pred_h.astype(np.float64)
-            + w.b_joint.array.astype(np.float64)
-        )
-        want = (w.w_out.array.astype(np.float64) @ np.tanh(z)).astype(np.float32)
-        np.testing.assert_array_equal(got, want)
-        assert got.shape == (29,)
+# (embed E, hidden H, joint J, encoder D) of the toy head and the test head
+HEAD_DIMS = [(64, 64, 64, 64), (8, 12, 10, 16)]
 
-    def test_joint_shape_errors(self):
-        w = make_rnnt_weights(seed=5)
-        with pytest.raises(ShapeError, match="encoder frame"):
-            joint(Tensor(np.zeros(3, dtype=np.float32)), Tensor(np.zeros(12, dtype=np.float32)), w)
-        with pytest.raises(ShapeError, match="prediction state"):
-            joint(Tensor(np.zeros(16, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32)), w)
+
+class TestDecoderBlasBits:
+    """The decode loop's BLAS calls give the bits of the plain products.
+
+    Token tests cannot see a last-bit drift (a float32 argmax rarely moves),
+    so these compare bytes, on operands drawn like the decoder's: float32
+    weights cast to float64 and a float64 state in (-1, 1).
+    """
+
+    DRAWS = 100
+
+    def draws(self, e, h, j, d, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(self.DRAWS):
+            w = make_rnnt_weights(int(rng.integers(2**31)), d=d, e=e, h=h, j=j)
+            state = np.tanh(rng.standard_normal(h) * 2.0)
+            yield w, state, rng
+
+    @pytest.mark.parametrize("e, h, j, d", HEAD_DIMS)
+    def test_stacked_gemv_rows_match_separate_products(self, e, h, j, d):
+        for w, state, _ in self.draws(e, h, j, d, seed=h):
+            w_h = w.lstm_w_h.array.astype(np.float64)
+            w_pred = w.w_pred.array.astype(np.float64)
+            w_hp, hp, w_h_h, p = _stacked_prediction(w_h, w_pred)
+            np.dot(w_hp, state, out=hp)
+            assert w_h_h.tobytes() == (w_h @ state).tobytes()
+            assert p.tobytes() == (w_pred @ state).tobytes()
+
+    @pytest.mark.parametrize("e, h, j, d", HEAD_DIMS)
+    def test_negated_rows_give_negated_products(self, e, h, j, d):
+        # the decoder negates the i, f, o rows of the gate weights once
+        for w, state, rng in self.draws(e, h, j, d, seed=h + 2):
+            embed_k = w.embedding.array[rng.integers(w.embedding.shape[0])]
+            for m, v in ((w.lstm_w_x.array.astype(np.float64), embed_k.astype(np.float64)),
+                         (w.lstm_w_h.array.astype(np.float64), state)):
+                assert (-m @ v).tobytes() == (-(m @ v)).tobytes()
+
+    @pytest.mark.parametrize("e, h, j, d", HEAD_DIMS)
+    def test_dot_out_matches_matmul(self, e, h, j, d):
+        # the stacked gemv's np.dot(out=) is checked against @ above
+        for w, _, rng in self.draws(e, h, j, d, seed=j + 1):
+            enc_t = rng.standard_normal(d).astype(np.float32).astype(np.float64)
+            z = np.tanh(rng.standard_normal(j) * 2.0)
+            w_x = w.lstm_w_x.array.astype(np.float64)
+            embed_k = w.embedding.array[rng.integers(w.embedding.shape[0])]
+            for m, v in ((w_x, embed_k.astype(np.float64)),
+                         (w_x, np.zeros(e)),
+                         (w.w_enc.array.astype(np.float64), enc_t),
+                         (w.w_out.array.astype(np.float64), z)):
+                out = np.empty(m.shape[0])
+                np.dot(m, v, out=out)
+                assert out.tobytes() == (m @ v).tobytes()
 
 
 class TestRnntGreedy:
