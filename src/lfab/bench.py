@@ -146,9 +146,10 @@ def _attention_phase(cfg: EncoderConfig, t: int) -> int:
     )
 
 
-def _conformer_phases(cfg: EncoderConfig, t: int):
-    c, d, ff = cfg.channels, cfg.model_dim, cfg.ff_expansion * cfg.model_dim
-    phases, x, t = _conv_chain([(c, 2), (c, 2), (c, 2)], t, FEATURE_DIM)
+def _conformer_phases(cfg: EncoderConfig, phases: list, x: int, t: int) -> int:
+    """Append the phases after the subsampling, which leaves x elements over
+    T' = t; return the encoder output elements."""
+    d, ff = cfg.model_dim, cfg.ff_expansion * cfg.model_dim
     phases.append(2 * x)  # transpose to time-major
     phases.append(x + t * d)  # projection
     x = t * d
@@ -158,37 +159,23 @@ def _conformer_phases(cfg: EncoderConfig, t: int):
     att_phase = _attention_phase(cfg, t)
     phases.append(max(ff_phase, att_phase, conv_phase))
     phases.append(2 * x)  # final layer norm
-    return phases, x, t
+    return x
 
 
 def model_phases(cfg: EncoderConfig, t_frames: int):
     """(phase element counts, encoder output elements, T') for one pass."""
     if t_frames < 1:
         raise ValueError(f"t_frames must be >= 1, got {t_frames}")
-    t = t_frames
+    chain = [(s.c_out, s.stride) for s in encoders.conv_schedule(cfg)]
+    phases, x, t = _conv_chain(chain, t_frames, FEATURE_DIM)
     if cfg.family == CONV_ONLY:
-        c, blocks = cfg.channels, cfg.num_blocks
-        chain = [(c, 2), (c, 2)] + [(c, 1)] * blocks
-        phases, x, t = _conv_chain(chain, t, FEATURE_DIM)
         phases.append(2 * x)  # transpose out
     elif cfg.family in (CONV_SE, CONV_SE_CITRINET):
-        per_seg = cfg.num_blocks // 4
-        citrinet = cfg.family == CONV_SE_CITRINET
-        widths = [cfg.channels] * 4 if citrinet else cfg.conv_se_widths()
-        chain = [(widths[0], 1)]
-        for s in range(4):
-            for b in range(per_seg):
-                if citrinet:
-                    stride = 2 if (s > 0 and b == 0) else 1
-                else:
-                    stride = 2 if (s < 3 and b == per_seg - 1) else 1
-                chain.append((widths[s], stride))
-        phases, x, t = _conv_chain(chain, t, FEATURE_DIM)
         phases.append(x + t * cfg.model_dim)  # pointwise epilogue
         x = t * cfg.model_dim
         phases.append(2 * x)  # transpose out
     else:
-        phases, x, t = _conformer_phases(cfg, t)
+        x = _conformer_phases(cfg, phases, x, t)
     # decode: encoder output stays live next to the logits
     phases.append(x + t * (decoders.default_vocab().size + 1))
     return phases, x, t
@@ -198,13 +185,6 @@ def predict_peak_bytes(cfg: EncoderConfig, t_frames: int) -> int:
     """Predicted peak live activation bytes for a pass over t_frames features."""
     phases, _, _ = model_phases(cfg, t_frames)
     return BYTES_PER_ELEMENT * (t_frames * FEATURE_DIM + max(phases))
-
-
-def track_measured_peak(fn) -> int:
-    """High-water mark of live tensor bytes while fn() runs."""
-    with tensor.AllocationTracker() as tracker:
-        fn()
-    return tracker.peak_bytes
 
 
 # ---------------------------------------------------------------------------

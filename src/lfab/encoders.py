@@ -137,26 +137,35 @@ class SEWeights:
     w2: Tensor  # (C, C // r)
 
 
+@dataclass(frozen=True)
+class ConvSpec:
+    """One depthwise-separable conv layer: its weight prefix and shapes.
+
+    activation is a key of _ACTS, looked up at call time, so that a function
+    rebound in that dict (as a tracer does) is the one that runs.
+    """
+
+    prefix: str
+    c_in: int
+    c_out: int
+    k: int
+    stride: int
+    activation: str
+    se_reduction: int | None
+    batch_norm: bool
+
+
 @dataclass
 class ConvBlock:
+    spec: ConvSpec
     w_dw: Tensor  # (C_in, K)
     w_pw: Tensor  # (C_out, C_in)
-    bn: BatchNorm
-    stride: int
-    activation: str  # "relu" | "silu"
+    bn: BatchNorm | None
     se: SEWeights | None
-    residual: bool
 
-
-@dataclass
-class PointwiseConv:
-    w: Tensor  # (C_out, C_in)
-
-
-@dataclass
-class SubsampleLayer:
-    w_dw: Tensor
-    w_pw: Tensor
+    @property
+    def residual(self) -> bool:
+        return self.spec.stride == 1 and self.spec.c_in == self.spec.c_out
 
 
 @dataclass
@@ -204,8 +213,8 @@ class EncoderModel:
     config: EncoderConfig
     seed: int
     weights: dict[str, Tensor]
-    conv_stack: list = field(default_factory=list)  # conv families
-    subsample: list[SubsampleLayer] = field(default_factory=list)  # conformer
+    conv_stack: list[ConvBlock] = field(default_factory=list)
+    epilogue: Tensor | None = None  # (model_dim, C) pointwise, SE families
     proj_w: Tensor | None = None
     proj_b: Tensor | None = None
     blocks: list[ConformerBlock] = field(default_factory=list)
@@ -277,61 +286,54 @@ class _Registry:
             beta=self.const(f"{prefix}.beta", (d,), 0.0),
         )
 
-    def conv_block(
-        self, prefix: str, c_in: int, c_out: int, k: int, stride: int,
-        activation: str, se_reduction: int | None,
-    ) -> ConvBlock:
+    def conv_block(self, spec: ConvSpec) -> ConvBlock:
+        p, c_in, c_out = spec.prefix, spec.c_in, spec.c_out
         se = None
-        if se_reduction is not None:
-            hidden = max(1, c_out // se_reduction)
+        if spec.se_reduction is not None:
+            hidden = max(1, c_out // spec.se_reduction)
             se = SEWeights(
-                w1=self.uniform(f"{prefix}.se.w1", (hidden, c_out), c_out),
-                w2=self.uniform(f"{prefix}.se.w2", (c_out, hidden), hidden),
+                w1=self.uniform(f"{p}.se.w1", (hidden, c_out), c_out),
+                w2=self.uniform(f"{p}.se.w2", (c_out, hidden), hidden),
             )
         return ConvBlock(
-            w_dw=self.uniform(f"{prefix}.dw", (c_in, k), k),
-            w_pw=self.uniform(f"{prefix}.pw", (c_out, c_in), c_in),
-            bn=self.batch_norm(prefix, c_out),
-            stride=stride,
-            activation=activation,
+            spec=spec,
+            w_dw=self.uniform(f"{p}.dw", (c_in, spec.k), spec.k),
+            w_pw=self.uniform(f"{p}.pw", (c_out, c_in), c_in),
+            bn=self.batch_norm(p, c_out) if spec.batch_norm else None,
             se=se,
-            residual=(stride == 1 and c_in == c_out),
         )
 
 
 # ---------------------------------------------------------------------------
-# builders
+# layer schedule and build
 
 
-def build_quartznet2(cfg: EncoderConfig, seed: int, source=None) -> EncoderModel:
-    """Conv-only encoder: two stride-2 separable layers, then residual blocks."""
-    if cfg.family != CONV_ONLY:
-        raise ConfigError(f"build_quartznet2 expects family {CONV_ONLY}, got {cfg.family}")
-    reg = _Registry(seed, source)
-    c, k = cfg.channels, cfg.kernel_size
-    stack = [
-        reg.conv_block("prologue.0", FEATURE_DIM, c, k, 2, "relu", None),
-        reg.conv_block("prologue.1", c, c, k, 2, "relu", None),
-    ]
-    for i in range(cfg.num_blocks):
-        stack.append(reg.conv_block(f"block.{i}", c, c, k, 1, "relu", None))
-    model = EncoderModel(config=cfg, seed=seed, weights=reg.weights, conv_stack=stack)
-    _check_count(model)
-    return model
+def conv_schedule(cfg: EncoderConfig) -> list[ConvSpec]:
+    """The separable conv layers every family starts with, in draw order.
 
-
-def _segmented_conv_stack(cfg: EncoderConfig, reg: _Registry) -> list:
-    """Shared 4-segment body for the SE families.
-
-    conv_se: widths double per segment, stride 2 on the last block of
-    segments 1..3. citrinet: uniform width, per-block kernels, stride 2 on
-    the first block of segments 2..4. Both downsample 8x overall.
+    conv_only: two stride-2 prologue layers, then residual blocks. conv_se:
+    widths double per segment, stride 2 on the last block of segments 1..3.
+    citrinet: uniform width, per-block kernels, stride 2 on the first block
+    of segments 2..4. Both SE families downsample 8x and end in a pointwise
+    epilogue that is not a separable layer. Conformers: three stride-2
+    subsampling layers with no norm.
     """
+    if cfg.family == CONV_ONLY:
+        c, k = cfg.channels, cfg.kernel_size
+        return [
+            ConvSpec("prologue.0", FEATURE_DIM, c, k, 2, "relu", None, True),
+            ConvSpec("prologue.1", c, c, k, 2, "relu", None, True),
+        ] + [ConvSpec(f"block.{i}", c, c, k, 1, "relu", None, True) for i in range(cfg.num_blocks)]
+    if cfg.family in _CONFORMER_FAMILIES:
+        c, k = cfg.channels, _CONFORMER_CONV_KERNEL
+        return [
+            ConvSpec(f"subsample.{i}", FEATURE_DIM if i == 0 else c, c, k, 2, "relu", None, False)
+            for i in range(3)
+        ]
     per_seg = cfg.num_blocks // 4
     citrinet = cfg.family == CONV_SE_CITRINET
     widths = [cfg.channels] * 4 if citrinet else cfg.conv_se_widths()
-    stack = [reg.conv_block("prologue", FEATURE_DIM, widths[0], 5, 1, "silu", None)]
-    prev = widths[0]
+    specs = [ConvSpec("prologue", FEATURE_DIM, widths[0], 5, 1, "silu", None, True)]
     for s in range(4):
         for b in range(per_seg):
             i = s * per_seg + b
@@ -340,54 +342,17 @@ def _segmented_conv_stack(cfg: EncoderConfig, reg: _Registry) -> list:
                 stride = 2 if (s > 0 and b == 0) else 1
             else:
                 stride = 2 if (s < 3 and b == per_seg - 1) else 1
-            stack.append(
-                reg.conv_block(f"block.{i}", prev, widths[s], k, stride, "silu", cfg.se_reduction)
-            )
-            prev = widths[s]
-    stack.append(PointwiseConv(w=reg.uniform("epilogue.pw", (cfg.model_dim, prev), prev)))
-    return stack
+            specs.append(ConvSpec(f"block.{i}", specs[-1].c_out, widths[s], k, stride, "silu",
+                                  cfg.se_reduction, True))
+    return specs
 
 
-def build_contextnet(cfg: EncoderConfig, seed: int, source=None) -> EncoderModel:
-    """Conv+SE encoder with channel doubling and stride-2 segment tails."""
-    if cfg.family != CONV_SE:
-        raise ConfigError(f"build_contextnet expects family {CONV_SE}, got {cfg.family}")
-    reg = _Registry(seed, source)
-    model = EncoderModel(config=cfg, seed=seed, weights=reg.weights,
-                         conv_stack=_segmented_conv_stack(cfg, reg))
-    _check_count(model)
-    return model
-
-
-def build_citrinet(cfg: EncoderConfig, seed: int, source=None) -> EncoderModel:
-    """Conv+SE encoder, uniform width, per-block kernels, stride-2 segment heads."""
-    if cfg.family != CONV_SE_CITRINET:
-        raise ConfigError(f"build_citrinet expects family {CONV_SE_CITRINET}, got {cfg.family}")
-    reg = _Registry(seed, source)
-    model = EncoderModel(config=cfg, seed=seed, weights=reg.weights,
-                         conv_stack=_segmented_conv_stack(cfg, reg))
-    _check_count(model)
-    return model
-
-
-def build_fast_conformer(cfg: EncoderConfig, seed: int, source=None) -> EncoderModel:
-    """Conformer encoder with 8x separable subsampling; attention per family."""
-    if cfg.family not in _CONFORMER_FAMILIES:
-        raise ConfigError(f"build_fast_conformer expects a conformer family, got {cfg.family}")
-    reg = _Registry(seed, source)
+def _build_conformer_body(model: EncoderModel, reg: _Registry) -> None:
+    """Projection, conformer blocks and final norm, after the subsampling."""
+    cfg = model.config
     d, c, ff = cfg.model_dim, cfg.channels, cfg.ff_expansion * cfg.model_dim
-    sub = []
-    prev = FEATURE_DIM
-    for i in range(3):
-        sub.append(SubsampleLayer(
-            w_dw=reg.uniform(f"subsample.{i}.dw", (prev, _CONFORMER_CONV_KERNEL), _CONFORMER_CONV_KERNEL),
-            w_pw=reg.uniform(f"subsample.{i}.pw", (c, prev), prev),
-        ))
-        prev = c
-    proj_w = reg.uniform("proj.w", (d, c), c)
-    proj_b = reg.uniform("proj.b", (d,), c)
-
-    blocks = []
+    model.proj_w = reg.uniform("proj.w", (d, c), c)
+    model.proj_b = reg.uniform("proj.b", (d,), c)
     for i in range(cfg.num_blocks):
         p = f"block.{i}"
         # draw order matches init_attention_weights for seed compatibility
@@ -405,7 +370,7 @@ def build_fast_conformer(cfg: EncoderConfig, seed: int, source=None) -> EncoderM
             else None
         )
         att_w = AttentionWeights(**att_fields, global_token=gt)
-        blocks.append(ConformerBlock(
+        model.blocks.append(ConformerBlock(
             ln_ff1=reg.layer_norm(f"{p}.ln_ff1", d),
             ff1=FeedForward(
                 w1=reg.uniform(f"{p}.ff1.w1", (ff, d), d),
@@ -430,28 +395,21 @@ def build_fast_conformer(cfg: EncoderConfig, seed: int, source=None) -> EncoderM
                 b2=reg.uniform(f"{p}.ff2.b2", (d,), ff),
             ),
         ))
-    final_ln = reg.layer_norm("final_ln", d)
-    model = EncoderModel(
-        config=cfg, seed=seed, weights=reg.weights, subsample=sub,
-        proj_w=proj_w, proj_b=proj_b, blocks=blocks, final_ln=final_ln,
-    )
-    _check_count(model)
-    return model
-
-
-_BUILDERS = {
-    CONV_ONLY: build_quartznet2,
-    CONV_SE: build_contextnet,
-    CONV_SE_CITRINET: build_citrinet,
-    CONFORMER_FULL: build_fast_conformer,
-    CONFORMER_LCA: build_fast_conformer,
-    CONFORMER_LCA_GT: build_fast_conformer,
-}
+    model.final_ln = reg.layer_norm("final_ln", d)
 
 
 def build(cfg: EncoderConfig, seed: int, source: dict[str, Tensor] | None = None) -> EncoderModel:
     """Build a model; with source, weights load by name instead of being drawn."""
-    return _BUILDERS[cfg.family](cfg, seed, source)
+    reg = _Registry(seed, source)
+    model = EncoderModel(config=cfg, seed=seed, weights=reg.weights,
+                         conv_stack=[reg.conv_block(s) for s in conv_schedule(cfg)])
+    if cfg.family in _CONFORMER_FAMILIES:
+        _build_conformer_body(model, reg)
+    elif cfg.family in (CONV_SE, CONV_SE_CITRINET):
+        c = model.conv_stack[-1].spec.c_out
+        model.epilogue = reg.uniform("epilogue.pw", (cfg.model_dim, c), c)
+    _check_count(model)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -590,44 +548,15 @@ _ACTS = {"relu": tensor.relu, "silu": tensor.silu}
 
 
 def _conv_block_forward(x: Tensor, blk: ConvBlock) -> Tensor:
-    y = tensor.depthwise_separable_conv1d(x, blk.w_dw, blk.w_pw, stride=blk.stride)
-    y = tensor.batch_norm_infer(y, blk.bn.gamma, blk.bn.beta, blk.bn.mean, blk.bn.var)
-    y = _ACTS[blk.activation](y)
+    y = tensor.depthwise_separable_conv1d(x, blk.w_dw, blk.w_pw, stride=blk.spec.stride)
+    if blk.bn is not None:
+        y = tensor.batch_norm_infer(y, blk.bn.gamma, blk.bn.beta, blk.bn.mean, blk.bn.var)
+    y = _ACTS[blk.spec.activation](y)
     if blk.se is not None:
         y = se_module(y, blk.se.w1, blk.se.w2)
     if blk.residual:
         y = tensor.add(x, y)
     return y
-
-
-def _conv_stack_forward(x: Tensor, stack: list) -> Tensor:
-    for item in stack:
-        if isinstance(item, ConvBlock):
-            x = _conv_block_forward(x, item)
-        else:  # PointwiseConv epilogue
-            w = item.w
-            x = tensor.conv1d(x, Tensor._wrap(w.array.reshape(w.shape[0], w.shape[1], 1)))
-    return x
-
-
-def _check_min_length(t: int, ds: int) -> None:
-    if t < ds:
-        raise ShapeError(f"input too short: {t} frames, need at least {ds}")
-
-
-def quartznet2_forward(model: EncoderModel, feats: Tensor) -> Tensor:
-    _check_min_length(feats.shape[0], model.config.downsample_rate)
-    x = tensor.transpose(feats)  # (80, T)
-    return tensor.transpose(_conv_stack_forward(x, model.conv_stack))
-
-
-def contextnet_forward(model: EncoderModel, feats: Tensor) -> Tensor:
-    _check_min_length(feats.shape[0], model.config.downsample_rate)
-    x = tensor.transpose(feats)
-    return tensor.transpose(_conv_stack_forward(x, model.conv_stack))
-
-
-citrinet_forward = contextnet_forward
 
 
 def sinusoidal_positions(t: int, d: int) -> Tensor:
@@ -686,29 +615,28 @@ def conformer_block_forward(x: Tensor, blk: ConformerBlock, cfg: EncoderConfig) 
     return tensor.add(x, half)
 
 
-def conformer_forward(model: EncoderModel, feats: Tensor) -> Tensor:
-    _check_min_length(feats.shape[0], model.config.downsample_rate)
+def encode(model: EncoderModel, feats: Tensor) -> Tensor:
+    """feats: (T, 80) -> (T', model_dim): the conv schedule, then the SE
+    families' pointwise epilogue or the conformer body."""
+    if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
+        raise ShapeError(f"features must be (T, {FEATURE_DIM}), got {feats.shape}")
+    t, ds = feats.shape[0], model.config.downsample_rate
+    if t < ds:
+        raise ShapeError(f"input too short: {t} frames, need at least {ds}")
     x = tensor.transpose(feats)  # (80, T)
-    for layer in model.subsample:
-        x = tensor.relu(tensor.depthwise_separable_conv1d(x, layer.w_dw, layer.w_pw, stride=2))
-    x = tensor.transpose(x)  # (T', c)
+    for blk in model.conv_stack:
+        x = _conv_block_forward(x, blk)
+    if model.epilogue is not None:
+        w = model.epilogue
+        x = tensor.conv1d(x, Tensor._wrap(w.array.reshape(w.shape[0], w.shape[1], 1)))
+    x = tensor.transpose(x)
+    if model.config.family not in _CONFORMER_FAMILIES:
+        return x
     x = tensor.linear_rows(x, model.proj_w, model.proj_b)
     x = tensor.add(x, sinusoidal_positions(x.shape[0], x.shape[1]))
     for blk in model.blocks:
         x = conformer_block_forward(x, blk, model.config)
     return _ln(x, model.final_ln)
-
-
-def encode(model: EncoderModel, feats: Tensor) -> Tensor:
-    """Dispatch to the family forward. feats: (T, 80) -> (T', model_dim)."""
-    if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
-        raise ShapeError(f"features must be (T, {FEATURE_DIM}), got {feats.shape}")
-    fam = model.config.family
-    if fam == CONV_ONLY:
-        return quartznet2_forward(model, feats)
-    if fam in (CONV_SE, CONV_SE_CITRINET):
-        return contextnet_forward(model, feats)
-    return conformer_forward(model, feats)
 
 
 def ctc_logits(model: EncoderModel, encoded: Tensor) -> Tensor:

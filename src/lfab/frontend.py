@@ -121,14 +121,14 @@ def mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=4)
-def _mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT) -> np.ndarray:
-    """Triangular filters (n_mels, n_fft//2 + 1) over FFT bin center freqs."""
-    edges_mel = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), n_mels + 2)
+@functools.lru_cache(maxsize=1)
+def _mel_filterbank() -> np.ndarray:
+    """Triangular filters (N_MELS, N_FFT//2 + 1) over FFT bin center freqs."""
+    edges_mel = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2)
     edges_hz = mel_to_hz(edges_mel)
-    bin_hz = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
-    fb = np.zeros((n_mels, bin_hz.size), dtype=np.float64)
-    for m in range(n_mels):
+    bin_hz = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
+    fb = np.zeros((N_MELS, bin_hz.size), dtype=np.float64)
+    for m in range(N_MELS):
         lo, mid, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         up = (bin_hz - lo) / (mid - lo)
         down = (hi - bin_hz) / (hi - mid)

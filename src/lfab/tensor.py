@@ -13,7 +13,7 @@ Design rules, enforced here so every higher layer inherits them:
 - "same" padding splits K-1 as floor((K-1)/2) left, ceil((K-1)/2) right;
 - argmax ties resolve to the lowest index;
 - every Tensor registers its buffer with the allocation accounting below,
-  which is what bench.track_measured_peak reads.
+  which is what bench.measure_rtf reads.
 """
 
 from __future__ import annotations
@@ -126,14 +126,6 @@ class Tensor:
         """Read-only ndarray view of the underlying buffer."""
         return self._a
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the buffer."""
-        return self._a.reshape(-1)
-
-    def tolist(self) -> list:
-        return self._a.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -153,105 +145,45 @@ def _as2d(x: Tensor, name: str) -> np.ndarray:
 DEPTHWISE_TILE_BYTES = 2**18
 
 
-def _resolve_padding(padding, k: int) -> tuple[int, int]:
-    if padding == "same":
-        return (k - 1) // 2, k - 1 - (k - 1) // 2
-    if isinstance(padding, int) and padding >= 0:
-        return padding, padding
-    raise ShapeError(f"padding must be 'same' or a non-negative int, got {padding!r}")
+def conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
+    """1-D convolution over (channels, time), "same" padding, stride 1.
 
-
-def _conv_geometry(t: int, k: int, stride: int, padding) -> tuple[int, int, int]:
-    """(left padding, right padding, output length) of a conv over T columns."""
-    pad_l, pad_r = _resolve_padding(padding, k)
-    t_padded = t + pad_l + pad_r
-    if t_padded < k:
-        raise ShapeError(
-            f"time axis too short: T={t} with padding {pad_l}+{pad_r} < kernel {k}"
-        )
-    return pad_l, pad_r, (t_padded - k) // stride + 1
-
-
-def conv1d(
-    x: Tensor,
-    w: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding="same",
-    groups: int = 1,
-) -> Tensor:
-    """Grouped 1-D convolution over (channels, time).
-
-    w has shape (out_channels, in_channels // groups, K). Output length is
-    floor((T + pad_l + pad_r - K) / stride) + 1.
+    Two shapes run, the ones the encoders use: depthwise, with groups == C
+    and w of shape (C, 1, K), and pointwise, with groups == 1 and w of shape
+    (C_out, C, 1). Any other weight or grouping is a ShapeError.
     """
     xa = _as2d(x, "conv1d input (channels, time)")
     if w.ndim != 3:
         raise ShapeError(f"conv1d weight must be rank 3 (out, in/groups, K), got rank {w.ndim}")
-    c_in, t = xa.shape
+    c_in = xa.shape[0]
     c_out, c_in_g, k = w.shape
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if groups < 1:
-        raise ShapeError(f"groups must be >= 1, got {groups}")
-    if c_in % groups != 0:
-        raise ShapeError(f"in_channels axis: {c_in} not divisible by groups={groups}")
-    if c_out % groups != 0:
-        raise ShapeError(f"out_channels axis: {c_out} not divisible by groups={groups}")
-    if c_in_g != c_in // groups:
-        raise ShapeError(
-            f"weight in_channels axis: expected {c_in // groups} "
-            f"(= in_channels/groups), got {c_in_g}"
-        )
-    if bias is not None and bias.shape != (c_out,):
-        raise ShapeError(f"bias out_channels axis: expected ({c_out},), got {bias.shape}")
-
-    pad_l, pad_r, t_out = _conv_geometry(t, k, stride, padding)
-
-    w64 = w._a.astype(np.float64)
-    b64 = None if bias is None else bias._a.astype(np.float64)[:, None]
-    if c_in_g == 1 and groups == c_in and c_out == c_in:
-        out32 = np.empty((c_out, t_out), dtype=np.float32)
-        _depthwise_conv1d(xa, w64[:, 0], b64, stride, pad_l, out32)
+    if groups == c_in and c_in_g == 1 and c_out == c_in:
+        out32 = np.empty(xa.shape, dtype=np.float32)
+        _depthwise_conv1d(xa, w._a[:, 0].astype(np.float64), 1, out32)
         return Tensor._wrap(out32)
-    if k == 1 and stride == 1 and groups == 1 and pad_l == pad_r == 0:
-        # pointwise: one GEMM. BLAS accumulators start at +0.0, so this
-        # equals the zero-initialised sum of the general loop below. The
-        # input goes through np.zeros, not astype: with astype, glibc kept
-        # about 75 MiB more heap and the peak RSS of a table2-encode run rose
-        # from 1212 to 1284 MiB.
-        x64 = np.zeros((c_in, t), dtype=np.float64)
-        x64[...] = xa
-        out = w64[:, :, 0] @ x64
-    else:
-        xp = np.zeros((c_in, t + pad_l + pad_r), dtype=np.float64)
-        xp[:, pad_l : pad_l + t] = xa
-        out = np.zeros((c_out, t_out), dtype=np.float64)
-        last = 1 + stride * (t_out - 1)
-        og = c_out // groups
-        for g in range(groups):
-            xg = xp[g * c_in_g : (g + 1) * c_in_g]
-            wg = w64[g * og : (g + 1) * og]
-            og_out = out[g * og : (g + 1) * og]
-            for tap in range(k):
-                og_out += wg[:, :, tap] @ xg[:, tap : tap + last : stride]
-    if b64 is not None:
-        out += b64
-    return Tensor._wrap(out.astype(np.float32))
+    if groups == 1 and c_in_g == c_in and k == 1:
+        return Tensor._wrap(_gemm(w._a[:, :, 0], xa))
+    raise ShapeError(
+        f"conv1d runs depthwise ((C, 1, K) weight, groups = C) or pointwise "
+        f"((C_out, C, 1) weight, groups = 1); got weight {w.shape} with "
+        f"groups={groups} over {c_in} in_channels"
+    )
 
 
-def _depthwise_conv1d(xa, w64, b64, stride: int, pad_l: int, out: np.ndarray) -> None:
-    """Depthwise conv of float32 (C, T) by float64 (C, K) taps into out.
+def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray) -> None:
+    """Depthwise "same" conv of float32 (C, T) by float64 (C, K) taps into out.
 
-    Each output is rounded to float32; out is float32, or float64 when it is
-    the input of the pointwise GEMM that follows. Works on tiles of output
-    columns, so its float64 input, product and sum buffers stay in cache and
-    no padded copy exists. Per output element the sum starts at +0.0 and adds
-    the taps in order; a tap that would read padding would add a signed zero,
-    which leaves such a sum unchanged, so it is skipped.
+    out has (T - 1) // stride + 1 columns. Each output is rounded to float32;
+    out is float32, or float64 when it is the input of the pointwise GEMM
+    that follows. Works on tiles of output columns, so its float64 input,
+    product and sum buffers stay in cache and no padded copy exists. Per
+    output element the sum starts at +0.0 and adds the taps in order; a tap
+    that would read padding would add a signed zero, which leaves such a sum
+    unchanged, so it is skipped.
     """
     c, t = xa.shape
     k = w64.shape[1]
+    pad_l = (k - 1) // 2
     t_out = out.shape[1]
     tile = min(max(1, DEPTHWISE_TILE_BYTES // (8 * c)), t_out)
     xs = np.empty((c, (tile - 1) * stride + k), dtype=np.float64)
@@ -277,30 +209,37 @@ def _depthwise_conv1d(xa, w64, b64, stride: int, pad_l: int, out: np.ndarray) ->
             p = prod[:, : jb - ja]
             np.multiply(w64[:, tap : tap + 1], src, out=p)
             a[:, ja - j0 : jb - j0] += p
-        if b64 is not None:
-            a += b64
         r = rounded[:, : j1 - j0]
         r[...] = a
         out[:, j0:j1] = r
 
 
-def depthwise_separable_conv1d(
-    x: Tensor,
-    w_dw: Tensor,
-    w_pw: Tensor,
-    stride: int = 1,
-    padding="same",
-) -> Tensor:
-    """Depthwise conv (one K-tap filter per channel) followed by a pointwise mix.
+def _gemm(w32: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """float32 (M, K) times (K, N) in float64, rounded once to float32.
 
-    w_dw: (C, K), w_pw: (C_out, C). Parameter cost K*C + C*C_out versus
-    K*C*C_out for a dense kernel.
+    BLAS accumulators start at +0.0, as a zero-initialised sum does. A
+    float32 x is widened through np.zeros, not astype: with astype, glibc
+    kept about 75 MiB more heap and the peak RSS of a table2-encode run rose
+    from 1212 to 1284 MiB.
+    """
+    if x.dtype != np.float64:
+        x64 = np.zeros(x.shape, dtype=np.float64)
+        x64[...] = x
+        x = x64
+    return (w32.astype(np.float64) @ x).astype(np.float32)
+
+
+def depthwise_separable_conv1d(x: Tensor, w_dw: Tensor, w_pw: Tensor, stride: int = 1) -> Tensor:
+    """Depthwise "same" conv (one K-tap filter per channel), then a pointwise mix.
+
+    w_dw: (C, K), w_pw: (C_out, C). Output length (T - 1) // stride + 1.
+    Parameter cost K*C + C*C_out versus K*C*C_out for a dense kernel.
     """
     if w_dw.ndim != 2:
         raise ShapeError(f"depthwise weight must be rank 2 (C, K), got rank {w_dw.ndim}")
     if w_pw.ndim != 2:
         raise ShapeError(f"pointwise weight must be rank 2 (C_out, C), got rank {w_pw.ndim}")
-    c, k = w_dw.shape
+    c = w_dw.shape[0]
     if x.shape[0] != c:
         raise ShapeError(f"channels axis: input has {x.shape[0]}, depthwise weight has {c}")
     if w_pw.shape[1] != c:
@@ -308,12 +247,11 @@ def depthwise_separable_conv1d(
     xa = _as2d(x, "conv1d input (channels, time)")
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
-    pad_l, _, t_out = _conv_geometry(xa.shape[1], k, stride, padding)
     # the depthwise output goes straight into the float64 input of the
-    # pointwise GEMM, built with np.zeros for the reason given in conv1d
-    y64 = np.zeros((c, t_out), dtype=np.float64)
-    _depthwise_conv1d(xa, w_dw._a.astype(np.float64), None, stride, pad_l, y64)
-    return Tensor._wrap((w_pw._a.astype(np.float64) @ y64).astype(np.float32))
+    # pointwise GEMM, built with np.zeros for the reason given in _gemm
+    y64 = np.zeros((c, (xa.shape[1] - 1) // stride + 1), dtype=np.float64)
+    _depthwise_conv1d(xa, w_dw._a.astype(np.float64), stride, y64)
+    return Tensor._wrap(_gemm(w_pw._a, y64))
 
 
 def separable_param_count(c_in: int, c_out: int, k: int) -> int:
@@ -421,8 +359,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ba = _as2d(b, "matmul rhs")
     if aa.shape[1] != ba.shape[0]:
         raise ShapeError(f"inner axis mismatch: lhs {aa.shape} vs rhs {ba.shape}")
-    out = aa.astype(np.float64) @ ba.astype(np.float64)
-    return Tensor._wrap(out.astype(np.float32))
+    return Tensor._wrap(_gemm(aa, ba))
 
 
 def batched_matmul(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:

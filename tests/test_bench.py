@@ -18,7 +18,6 @@ from lfab.bench import (
     predict_peak_bytes,
     run_pipeline,
     sweep_rtf,
-    track_measured_peak,
 )
 from lfab.encoders import EncoderConfig
 from lfab.errors import ConfigError
@@ -171,18 +170,6 @@ class TestMemoryModel:
             predicted = predict_peak_bytes(rc.encoder, feats.shape[0])
             assert heap + feats.nbytes <= 2 * predicted, (seconds, (heap + feats.nbytes) / predicted)
 
-    def test_track_measured_peak_single_tensor(self):
-        peak = track_measured_peak(lambda: Tensor(np.zeros(1000, dtype=np.float32)))
-        assert peak >= 4000
-
-    def test_track_measured_peak_sequential_allocs(self):
-        def work():
-            for _ in range(4):
-                Tensor(np.zeros(1000, dtype=np.float32))
-
-        peak = track_measured_peak(work)
-        assert 4000 <= peak <= 4000 + 8192
-
 
 class TestFindMaxDuration:
     def test_search_contract(self):
@@ -218,6 +205,54 @@ class TestFindMaxDuration:
         budget = predict_peak_bytes(cfg, bench._frames_for_seconds(600))
         factor = find_max_duration(cfg, 2 * budget) / find_max_duration(cfg, budget)
         assert 1.3 <= factor <= 1.5
+
+
+# predict_peak_bytes is a bench CSV value column and find_max_duration is what
+# max-length prints, so both are pinned per preset: a refactor of the layer
+# description must not move a byte of either.
+PINNED_FRAMES = (1, 9, 100, 801, 3001, 60000)
+PINNED_PEAK_BYTES = {
+    "table2-conformer": (28992, 60224, 404736, 3152192, 13184832, 1972800000),
+    "table2-contextnet": (57152, 116544, 770816, 5996352, 22329152, 445440000),
+    "table2-fastconformer": (28992, 60224, 404736, 3152192, 22329152, 362602496),
+    "table2-quartznet2": (12608, 47936, 473600, 3797632, 14216832, 284160000),
+    "toy-citrinet": (1088, 9792, 108800, 871488, 3265088, 65280000),
+    "toy-conformer": (3904, 10048, 92800, 841312, 6446912, 1838400000),
+    "toy-contextnet": (3392, 9792, 108800, 871488, 3265088, 65280000),
+    "toy-fastconformer": (3904, 10048, 92800, 911680, 3225408, 62666752),
+    "toy-fastconformer-gt": (3904, 10048, 92800, 915520, 3238208, 62907392),
+    "toy-quartznet2": (1216, 8640, 92800, 743616, 2785216, 55680000),
+}
+PINNED_BUDGETS = (2**26, 2**30, 48 * 2**30)
+PINNED_MAX_SECONDS = {
+    "table2-conformer": (90, 435, 3181),
+    "table2-contextnet": (90, 1446, 69422),
+    "table2-fastconformer": (105, 1795, 86342),
+    "table2-quartznet2": (141, 2267, 108825),
+    "toy-citrinet": (616, 9868, 473709),
+    "toy-conformer": (109, 457, 3204),
+    "toy-contextnet": (616, 9868, 473709),
+    "toy-fastconformer": (643, 10291, 494051),
+    "toy-fastconformer-gt": (640, 10252, 492165),
+    "toy-quartznet2": (723, 11570, 555383),
+}
+
+
+class TestPinnedMemoryModel:
+    def test_pins_cover_every_preset(self):
+        assert set(PINNED_PEAK_BYTES) == set(PINNED_MAX_SECONDS) == set(cli.PRESETS)
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_PEAK_BYTES))
+    def test_predicted_peak_bytes(self, preset):
+        cfg = cli.resolve_run_config(preset).encoder
+        got = tuple(predict_peak_bytes(cfg, t) for t in PINNED_FRAMES)
+        assert got == PINNED_PEAK_BYTES[preset]
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_MAX_SECONDS))
+    def test_max_duration(self, preset):
+        cfg = cli.resolve_run_config(preset).encoder
+        got = tuple(find_max_duration(cfg, b) for b in PINNED_BUDGETS)
+        assert got == PINNED_MAX_SECONDS[preset]
 
 
 def full_scale_presets():

@@ -13,11 +13,11 @@ def same_pad(k):
     return left, k - 1 - left
 
 
-def conv1d_oracle(x, w, bias=None, stride=1, padding="same", groups=1):
-    """Direct triple-loop convolution in float64. Independent of the impl."""
+def conv1d_oracle(x, w, stride=1, groups=1):
+    """Direct triple-loop "same" convolution in float64. Independent of the impl."""
     c_in, t = x.shape
     c_out, c_in_g, k = w.shape
-    pl, pr = same_pad(k) if padding == "same" else (padding, padding)
+    pl, pr = same_pad(k)
     xp = np.zeros((c_in, t + pl + pr), dtype=np.float64)
     xp[:, pl : pl + t] = x
     t_out = (t + pl + pr - k) // stride + 1
@@ -31,17 +31,15 @@ def conv1d_oracle(x, w, bias=None, stride=1, padding="same", groups=1):
                 for tap in range(k):
                     acc += w[o, ci, tap] * xp[g * c_in_g + ci, j * stride + tap]
             out[o, j] = acc
-    if bias is not None:
-        out += np.asarray(bias, dtype=np.float64)[:, None]
     return out
 
 
-def conv1d_reference(x, w, bias=None, stride=1, padding="same", groups=1):
+def conv1d_reference(x, w, stride=1, groups=1):
     """The per-tap padded float64 loop conv1d used before tiling: the exact
     bits the fast paths must keep."""
     c_in, t = x.shape
     c_out, c_in_g, k = w.shape
-    pl, pr = same_pad(k) if padding == "same" else (padding, padding)
+    pl, pr = same_pad(k)
     t_out = (t + pl + pr - k) // stride + 1
     xp = np.zeros((c_in, t + pl + pr), dtype=np.float64)
     xp[:, pl : pl + t] = x
@@ -59,8 +57,6 @@ def conv1d_reference(x, w, bias=None, stride=1, padding="same", groups=1):
                 out[g * og : (g + 1) * og] += (
                     w64[g * og : (g + 1) * og, :, tap] @ xg[:, tap : tap + last : stride]
                 )
-    if bias is not None:
-        out += bias.astype(np.float64)[:, None]
     return out.astype(np.float32)
 
 
@@ -72,9 +68,26 @@ def signed_zero_input(rng, shape):
     return x
 
 
-def assert_conv_bits(x, w, b=None, **kw):
-    got = tensor.conv1d(Tensor(x), Tensor(w), None if b is None else Tensor(b), **kw)
-    assert got.array.tobytes() == conv1d_reference(x, w, b, **kw).tobytes()
+def depthwise(x, w, stride):
+    """Depthwise "same" conv of float32 x by a (C, 1, K) weight: conv1d at
+    stride 1; at stride 2 the kernel the separable conv runs."""
+    if stride == 1:
+        return tensor.conv1d(Tensor(x), Tensor(w), groups=w.shape[0]).array
+    out = np.empty((x.shape[0], (x.shape[1] - 1) // stride + 1), dtype=np.float32)
+    tensor._depthwise_conv1d(x, w[:, 0].astype(np.float64), stride, out)
+    return out
+
+
+def assert_conv_bits(x, w, stride=1):
+    """A depthwise (C, 1, K) or pointwise (C_out, C, 1) weight against the
+    reference loop, byte for byte."""
+    if w.shape[1] == 1 and w.shape[0] == x.shape[0]:
+        got = depthwise(x, w, stride)
+        want = conv1d_reference(x, w, stride=stride, groups=x.shape[0])
+    else:
+        got = tensor.conv1d(Tensor(x), Tensor(w)).array
+        want = conv1d_reference(x, w)
+    assert got.tobytes() == want.tobytes()
 
 
 def softmax_reference(x, mask=None):
@@ -109,97 +122,87 @@ class TestConv1dBitExact:
             monkeypatch.setattr(tensor, "DEPTHWISE_TILE_BYTES", 8 * c * tile_cols)
         rng = np.random.default_rng(100 + k)
         for t in (1, 2, k - 1, k, 2 * k + 1, 37, 200):
-            for padding in ("same", 0, 2):
-                if padding != "same" and t + 2 * padding < k:
-                    continue
-                x = signed_zero_input(rng, (c, t))
-                w = rng.standard_normal((c, 1, k)).astype(np.float32)
-                w[0, 0, :] = -0.0
-                b = rng.standard_normal(c).astype(np.float32)
-                b[1] = -0.0
-                for bias in (None, b):
-                    assert_conv_bits(x, w, bias, stride=stride, padding=padding, groups=c)
+            x = signed_zero_input(rng, (c, t))
+            w = rng.standard_normal((c, 1, k)).astype(np.float32)
+            w[0, 0, :] = -0.0
+            assert_conv_bits(x, w, stride=stride)
 
     def test_depthwise_long_input_spans_many_tiles(self):
         rng = np.random.default_rng(5)
         x = signed_zero_input(rng, (64, 3001))
         w = rng.standard_normal((64, 1, 9)).astype(np.float32)
         for stride in (1, 2):
-            assert_conv_bits(x, w, rng.standard_normal(64).astype(np.float32),
-                             stride=stride, groups=64)
+            assert_conv_bits(x, w, stride=stride)
 
-    @pytest.mark.parametrize("k, groups", [(9, 1), (9, 3), (5, 3)])
-    def test_t_shorter_than_k_same_padding(self, k, groups):
+    @pytest.mark.parametrize("k, c", [(9, 1), (9, 3), (5, 3)])
+    def test_t_shorter_than_k_same_padding(self, k, c):
         rng = np.random.default_rng(k)
         for t in (1, 2, k - 1):
-            x = signed_zero_input(rng, (3, t))
-            w = rng.standard_normal((3, 3 // groups, k)).astype(np.float32)
-            assert_conv_bits(x, w, stride=1, groups=groups)
-            assert_conv_bits(x, w, stride=2, groups=groups)
+            x = signed_zero_input(rng, (c, t))
+            w = rng.standard_normal((c, 1, k)).astype(np.float32)
+            assert_conv_bits(x, w, stride=1)
+            assert_conv_bits(x, w, stride=2)
 
     def test_stride_2_odd_t(self):
         rng = np.random.default_rng(2)
         for t in (7, 31, 101):
             x = signed_zero_input(rng, (4, t))
-            assert_conv_bits(x, rng.standard_normal((4, 1, 5)).astype(np.float32),
-                             stride=2, groups=4)
-            assert_conv_bits(x, rng.standard_normal((6, 4, 3)).astype(np.float32), stride=2)
-            assert_conv_bits(x, rng.standard_normal((4, 2, 3)).astype(np.float32),
-                             stride=2, groups=2)
+            for k in (3, 4, 5):
+                assert_conv_bits(x, rng.standard_normal((4, 1, k)).astype(np.float32), stride=2)
 
-    @pytest.mark.parametrize("with_bias", [False, True])
-    def test_pointwise(self, with_bias):
+    def test_pointwise(self):
         rng = np.random.default_rng(9)
         for c_in, c_out, t in ((1, 1, 1), (5, 3, 17), (64, 128, 300)):
             x = signed_zero_input(rng, (c_in, t))
             w = rng.standard_normal((c_out, c_in, 1)).astype(np.float32)
-            b = rng.standard_normal(c_out).astype(np.float32) if with_bias else None
-            assert_conv_bits(x, w, b)
+            assert_conv_bits(x, w)
         # all-zero input columns under negative weights: every product is
         # -0.0, and the zero-initialised sum of the reference is +0.0
         x = np.zeros((16, 40), dtype=np.float32)
         x[:, 20:] = rng.standard_normal((16, 20))
         w = -np.abs(rng.standard_normal((8, 16, 1))).astype(np.float32)
-        assert_conv_bits(x, w, -np.zeros(8, dtype=np.float32) if with_bias else None)
+        assert_conv_bits(x, w)
 
 
 class TestConv1d:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(25):
-            groups = int(rng.choice([1, 1, 2, 4]))
-            c_in = groups * int(rng.integers(1, 5))
-            c_out = groups * int(rng.integers(1, 5))
-            k = int(rng.integers(1, 10))
-            stride = int(rng.choice([1, 2]))
-            t = int(rng.integers(k, 40))
-            padding = rng.choice(["same", 0, 1, 2])
-            padding = padding if padding == "same" else int(padding)
+            c_in = int(rng.integers(1, 9))
+            t = int(rng.integers(1, 40))
             x = rng.standard_normal((c_in, t))
-            w = rng.standard_normal((c_out, c_in // groups, k))
-            b = rng.standard_normal(c_out)
-            want = conv1d_oracle(x, w, b, stride, padding, groups)
-            got = tensor.conv1d(
-                Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups
-            )
-            np.testing.assert_allclose(got.array, want, rtol=1e-6, atol=1e-5)
+            if rng.random() < 0.5:  # depthwise
+                k = int(rng.integers(1, 10))
+                w = rng.standard_normal((c_in, 1, k))
+                stride = int(rng.choice([1, 2]))
+                want = conv1d_oracle(x, w, stride, groups=c_in)
+                if stride == 1:
+                    got = tensor.conv1d(Tensor(x), Tensor(w), groups=c_in).array
+                else:
+                    got = depthwise(x.astype(np.float32), w.astype(np.float32), stride)
+            else:  # pointwise
+                w = rng.standard_normal((int(rng.integers(1, 9)), c_in, 1))
+                want = conv1d_oracle(x, w)
+                got = tensor.conv1d(Tensor(x), Tensor(w)).array
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-5)
 
     @pytest.mark.parametrize("k", range(1, 10))
     @pytest.mark.parametrize("stride", [1, 2])
     def test_output_length_formula(self, k, stride):
-        # exhaustive over T in 1..32 and the paddings used anywhere in the repo
+        # exhaustive over T in 1..32: "same" padding gives ceil(T / stride)
+        # columns, at stride 1 through conv1d and at stride 2 through the
+        # separable conv, the only strided conv
+        pl, pr = same_pad(k)
         for t in range(1, 33):
-            for padding in ["same", 0, 1, 2, 3]:
-                pl, pr = same_pad(k) if padding == "same" else (padding, padding)
-                x = Tensor(np.ones((2, t)))
-                w = Tensor(np.ones((3, 2, k)))
-                if t + pl + pr < k:
-                    with pytest.raises(ShapeError):
-                        tensor.conv1d(x, w, stride=stride, padding=padding)
-                    continue
-                out = tensor.conv1d(x, w, stride=stride, padding=padding)
-                want = (t + pl + pr - k) // stride + 1
-                assert out.shape == (3, want)
+            x = Tensor(np.ones((2, t)))
+            if stride == 1:
+                out = tensor.conv1d(x, Tensor(np.ones((2, 1, k))), groups=2)
+            else:
+                out = tensor.depthwise_separable_conv1d(
+                    x, Tensor(np.ones((2, k))), Tensor(np.ones((3, 2))), stride=stride)
+            want = (t + pl + pr - k) // stride + 1
+            assert want == -(-t // stride)
+            assert out.shape[1] == want
 
     def test_same_padding_keeps_length_at_stride_1(self):
         for k in range(1, 10):
@@ -212,38 +215,49 @@ class TestConv1d:
         x = np.zeros((1, 6))
         x[0, 0] = 1.0
         w = np.arange(1.0, 5.0).reshape(1, 1, 4)
-        out = tensor.conv1d(Tensor(x), Tensor(w), padding="same")
+        out = tensor.conv1d(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.array[0], [2.0, 1.0, 0, 0, 0, 0])
 
     def test_k1_equals_matmul_over_channels(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((6, 11))
         w = rng.standard_normal((4, 6))
-        got = tensor.conv1d(Tensor(x), Tensor(w.reshape(4, 6, 1)), padding=0)
+        got = tensor.conv1d(Tensor(x), Tensor(w.reshape(4, 6, 1)))
         want = tensor.matmul(Tensor(w), Tensor(x))
         np.testing.assert_array_equal(got.array, want.array)
 
     def test_dimension_errors_name_the_axis(self):
         x = Tensor(np.ones((5, 8)))
-        with pytest.raises(ShapeError, match="in_channels"):
-            tensor.conv1d(x, Tensor(np.ones((4, 5, 3))), groups=2)
-        with pytest.raises(ShapeError, match="in_channels"):
-            tensor.conv1d(x, Tensor(np.ones((4, 3, 3))))
-        with pytest.raises(ShapeError, match="out_channels"):
-            tensor.conv1d(x, Tensor(np.ones((4, 5, 3))), bias=Tensor(np.ones(3)))
-        with pytest.raises(ShapeError, match="time axis too short"):
-            tensor.conv1d(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 1, 9))), padding=0)
+        with pytest.raises(ShapeError, match="rank 3"):
+            tensor.conv1d(x, Tensor(np.ones((5, 3))))
+        with pytest.raises(ShapeError, match="rank 2"):
+            tensor.conv1d(Tensor(np.ones(8)), Tensor(np.ones((5, 1, 3))))
+        with pytest.raises(ShapeError, match="5 in_channels"):
+            tensor.conv1d(x, Tensor(np.ones((4, 3, 1))))
+        with pytest.raises(ShapeError, match="5 in_channels"):
+            tensor.conv1d(x, Tensor(np.ones((4, 1, 3))), groups=4)
+
+    def test_dense_and_grouped_weights_rejected(self):
+        # only the depthwise and pointwise shapes run; a dense or grouped
+        # kernel is refused, not computed by a slower path
+        x = Tensor(np.ones((4, 10)))
+        for w, groups in (((6, 4, 3), 1), ((4, 4, 3), 1), ((4, 2, 3), 2),
+                          ((8, 1, 3), 4), ((4, 1, 1), 1), ((4, 4, 1), 4)):
+            with pytest.raises(ShapeError, match="depthwise .* or pointwise"):
+                tensor.conv1d(x, Tensor(np.ones(w)), groups=groups)
 
     def test_purity_and_repeatability(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 20)).astype(np.float32)
-        w = rng.standard_normal((5, 3, 7)).astype(np.float32)
-        xt, wt = Tensor(x), Tensor(w)
-        a = tensor.conv1d(xt, wt, stride=2)
-        b = tensor.conv1d(xt, wt, stride=2)
-        np.testing.assert_array_equal(a.array, b.array)
-        np.testing.assert_array_equal(xt.array, x)
-        np.testing.assert_array_equal(wt.array, w)
+        xt = Tensor(x)
+        for w, groups in ((rng.standard_normal((3, 1, 7)), 3), (rng.standard_normal((5, 3, 1)), 1)):
+            w = w.astype(np.float32)
+            wt = Tensor(w)
+            a = tensor.conv1d(xt, wt, groups=groups)
+            b = tensor.conv1d(xt, wt, groups=groups)
+            np.testing.assert_array_equal(a.array, b.array)
+            np.testing.assert_array_equal(xt.array, x)
+            np.testing.assert_array_equal(wt.array, w)
 
 
 class TestSeparableConv:
@@ -278,10 +292,12 @@ class TestSeparableConv:
     def test_conv1d_errors_kept(self):
         x = Tensor(np.ones((4, 2)))
         w_dw, w_pw = Tensor(np.ones((4, 9))), Tensor(np.ones((3, 4)))
-        with pytest.raises(ShapeError, match="time axis too short"):
-            tensor.depthwise_separable_conv1d(x, w_dw, w_pw, padding=0)
         with pytest.raises(ShapeError, match="stride must be >= 1"):
             tensor.depthwise_separable_conv1d(x, w_dw, w_pw, stride=0)
+        with pytest.raises(ShapeError, match="rank 2"):
+            tensor.depthwise_separable_conv1d(Tensor(np.ones(4)), w_dw, w_pw)
+        # "same" padding fits any T >= 1, even under a longer kernel
+        assert tensor.depthwise_separable_conv1d(x, w_dw, w_pw, stride=2).shape == (3, 1)
 
     def test_param_count_formula(self):
         # K=7, C=C'=64: dense kernel 28672 params vs separable 4544
@@ -484,8 +500,9 @@ class TestFiniteness:
     def test_random_op_chain_stays_finite(self):
         rng = np.random.default_rng(43)
         x = Tensor(rng.standard_normal((8, 30)))
-        w = Tensor(rng.standard_normal((8, 8, 5)) * 0.3)
-        y = tensor.conv1d(x, w)
+        w_dw = Tensor(rng.standard_normal((8, 5)) * 0.3)
+        w_pw = Tensor(rng.standard_normal((8, 8)) * 0.3)
+        y = tensor.depthwise_separable_conv1d(x, w_dw, w_pw)
         y = tensor.silu(y)
         y = tensor.layer_norm(
             tensor.transpose(y), Tensor(np.ones(8)), Tensor(np.zeros(8))

@@ -1,5 +1,6 @@
 """Binary weights file round-trips, format rejection and fuzzing."""
 
+import hashlib
 import io
 import struct
 import tracemalloc
@@ -180,6 +181,28 @@ class TestLoadingIntoBuild:
 def toy_model_bytes(preset):
     model = cli.build_model(cli.resolve_run_config(preset), seed=1)
     return serialize_weights(model.weights)
+
+
+# sha256 of the seed-1 weights of each toy preset, encoder and both heads, as
+# gen-weights writes them: pins every shape, name and the draw order
+PINNED_WEIGHTS_SHA256 = {
+    "toy-citrinet": "552d87e36d4e485d95cacea1ae376bdd3530e490721bad0fd4180cfca2691025",
+    "toy-conformer": "58bbef837bed6904c945c5dc0ff6ec000d3db8f3395fe34fc6ba5e3181aacfd4",
+    "toy-contextnet": "3d80f8eecd7397c290bf132a76304718debc61c599fae10c5ea7def07b1a7f12",
+    "toy-fastconformer": "58bbef837bed6904c945c5dc0ff6ec000d3db8f3395fe34fc6ba5e3181aacfd4",
+    "toy-fastconformer-gt": "1faf1ddd4134263a8d185ae75d35c80f0a4d4785ecefdb734fedd71cc6a0aee6",
+    "toy-quartznet2": "3ae11625d9d0c820bff0dfcebac02f15b9742d699dd59c05abb8e37c8d5df575",
+}
+
+
+class TestPinnedWeights:
+    def test_pins_cover_every_toy_preset(self):
+        assert set(PINNED_WEIGHTS_SHA256) == {p for p in cli.PRESETS if p.startswith("toy-")}
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_WEIGHTS_SHA256))
+    def test_seed_1_weights_hash(self, preset):
+        digest = hashlib.sha256(toy_model_bytes(preset)).hexdigest()
+        assert digest == PINNED_WEIGHTS_SHA256[preset]
 
 
 def header_offsets(w):
