@@ -7,7 +7,9 @@ excluded: they are duration-independent). The prediction is the maximum over
 phases plus the persistent feature matrix. Decoder state is excluded; it is
 a handful of vectors regardless of duration.
 
-Timing uses a monotonic clock, median of 3 repeats. Timed sections refuse to
+Timing uses a monotonic clock and keeps the fastest of 3 repeats: on a shared
+machine noise only adds time, and a slow stretch can cover two of three
+repeats, which a median would then report. Timed sections refuse to
 interleave so wall times stay honest.
 """
 
@@ -59,8 +61,7 @@ class BenchSample:
     predicted_peak_bytes: int
     measured_peak_bytes: int
     decoder_kind: str
-    # per-stage medians over the repeats; they need not sum to wall_s,
-    # which is the median of the summed stages
+    # stages of the fastest repeat; they sum to wall_s
     frontend_s: float = 0.0
     encoder_s: float = 0.0
     decoder_s: float = 0.0
@@ -240,29 +241,12 @@ def measure_rtf(
     audio: AudioBuffer,
     repeats: int = DEFAULT_REPEATS,
 ) -> BenchSample:
-    """Median-of-repeats wall time over front-end + encoder + decode, plus the
-    median of each stage."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    runs, peaks = [], []
+    """Wall time over front-end + encoder + decode of the fastest repeat, and
+    the stage times of that repeat."""
+    _check_repeats(repeats)
     with _timed_section():
-        for _ in range(repeats):
-            with tensor.AllocationTracker() as tracker:
-                _, stages = run_pipeline(model, decoder, audio)
-            runs.append(stages)
-            peaks.append(tracker.peak_bytes)
-    wall = statistics.median(sum(r.values()) for r in runs)
-    duration = audio.duration_s
-    frames = frontend.num_frames_for(audio.samples.size)
-    return BenchSample(
-        duration_s=duration,
-        wall_s=wall,
-        rtf=wall / duration,
-        predicted_peak_bytes=predict_peak_bytes(model.config, frames),
-        measured_peak_bytes=max(peaks),
-        decoder_kind=decoder,
-        **{k: statistics.median(r[k] for r in runs) for k in STAGES},
-    )
+        runs = [_tracked_run(model, decoder, audio) for _ in range(repeats)]
+    return _sample(model, decoder, audio, runs)
 
 
 def sweep_rtf(
@@ -272,17 +256,55 @@ def sweep_rtf(
     seed: int,
     repeats: int = DEFAULT_REPEATS,
 ) -> BenchReport:
-    """One BenchSample per duration on synthetic audio."""
+    """One BenchSample per duration on synthetic audio, as measure_rtf makes.
+
+    The repeats run in rounds, one run of every duration per round, so a
+    slow stretch of the machine that would cover every repeat of a short
+    duration meets one repeat of each duration it overlaps instead. The
+    audio of every duration stays live for the whole sweep.
+    """
     durations = list(durations)
     if not durations:
         raise ValueError("durations must be non-empty")
     if any(b <= a for a, b in zip(durations, durations[1:])):
         raise ValueError(f"durations must be sorted ascending, got {durations}")
-    report = BenchReport()
-    for d in durations:
-        audio = frontend.synth_audio(d, seed)
-        report.samples.append(measure_rtf(model, decoder, audio, repeats=repeats))
-    return report
+    _check_repeats(repeats)
+    audios = [frontend.synth_audio(d, seed) for d in durations]
+    runs = [[] for _ in durations]
+    with _timed_section():
+        for _ in range(repeats):
+            for audio, audio_runs in zip(audios, runs):
+                audio_runs.append(_tracked_run(model, decoder, audio))
+    return BenchReport(
+        [_sample(model, decoder, a, r) for a, r in zip(audios, runs)]
+    )
+
+
+def _check_repeats(repeats: int) -> None:
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+
+def _tracked_run(model: EncoderModel, decoder: str, audio: AudioBuffer):
+    """(stage seconds, tracked peak bytes) of one pipeline run."""
+    with tensor.AllocationTracker() as tracker:
+        _, stages = run_pipeline(model, decoder, audio)
+    return stages, tracker.peak_bytes
+
+
+def _sample(model: EncoderModel, decoder: str, audio: AudioBuffer, runs) -> BenchSample:
+    fastest = min((stages for stages, _ in runs), key=lambda st: sum(st.values()))
+    wall = sum(fastest.values())
+    frames = frontend.num_frames_for(audio.samples.size)
+    return BenchSample(
+        duration_s=audio.duration_s,
+        wall_s=wall,
+        rtf=wall / audio.duration_s,
+        predicted_peak_bytes=predict_peak_bytes(model.config, frames),
+        measured_peak_bytes=max(peak for _, peak in runs),
+        decoder_kind=decoder,
+        **fastest,
+    )
 
 
 # ---------------------------------------------------------------------------

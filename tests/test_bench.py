@@ -66,6 +66,17 @@ class TestMeasureRtf:
         s = measure_rtf(conv_model, "rnnt", frontend.synth_audio(2.0, seed=1), repeats=1)
         assert s.frontend_s + s.encoder_s + s.decoder_s == s.wall_s
 
+    def test_fastest_repeat_is_reported(self, conv_model, monkeypatch):
+        scripted = iter([(0.3, 0.3, 0.3), (0.1, 0.1, 0.2), (0.2, 0.2, 0.2)])
+
+        def run(model, decoder, audio):
+            return None, dict(zip(bench.STAGES, next(scripted)))
+
+        monkeypatch.setattr(bench, "run_pipeline", run)
+        s = measure_rtf(conv_model, "ctc", frontend.synth_audio(1.0, seed=0), repeats=3)
+        assert (s.frontend_s, s.encoder_s, s.decoder_s) == (0.1, 0.1, 0.2)
+        assert s.wall_s == 0.1 + 0.1 + 0.2
+
     def test_decoded_text_deterministic_across_runs(self, conv_model):
         audio = frontend.synth_audio(2.0, seed=3)
         a, _ = run_pipeline(conv_model, "rnnt", audio)
@@ -104,6 +115,17 @@ class TestSweep:
             assert cols["decoder"] == "ctc"
             for stage in ("frontend_s", "encoder_s", "decoder_s"):
                 assert float(cols[stage]) == pytest.approx(getattr(s, stage), abs=1e-6)
+
+    def test_repeats_run_in_rounds(self, conv_model, monkeypatch):
+        order = []
+
+        def run(model, decoder, audio):
+            order.append(audio.duration_s)
+            return None, dict.fromkeys(bench.STAGES, 0.1)
+
+        monkeypatch.setattr(bench, "run_pipeline", run)
+        sweep_rtf(conv_model, "ctc", [2, 4, 6], seed=0, repeats=2)
+        assert order == [2.0, 4.0, 6.0, 2.0, 4.0, 6.0]
 
     def test_unsorted_durations_rejected(self, conv_model):
         with pytest.raises(ValueError, match="ascending"):
