@@ -5,9 +5,18 @@ Design rules, enforced here so every higher layer inherits them:
 - storage is always contiguous row-major float32; reductions (matmul, conv,
   norm statistics, softmax) accumulate in float64 and round once on output;
 - kernels may reorder memory but never arithmetic: tiles, in-place ufuncs
-  and skipped all-zero padding taps are allowed, a new summation order or a
-  BLAS call shape that rounds differently is not, so every speedup is
+  and a changed start of a sum are allowed, a new summation order or a BLAS
+  call shape that rounds differently is not, so every speedup is
   byte-identical;
+- the depthwise conv, the norms, the sigmoid and the time mean work on
+  tiles of TILE_BYTES of float64 scratch, reused across the call: blocks of
+  whole rows, or segments of one row when a row is longer than a tile, so
+  no kernel builds a full-size float64 temporary;
+- signed zeros: a float64 sum that starts at +0.0 is never -0.0, so adding a
+  signed zero leaves it unchanged (the depthwise conv's zero-padded taps
+  add w * 0.0 = ±0.0), and a sum that starts at its first term instead
+  differs from one that starts at +0.0 only in a zero's sign, which a final
+  + 0.0 sets back to +0.0;
 - operations are pure: inputs are never written, repeated calls are
   bit-identical;
 - "same" padding splits K-1 as floor((K-1)/2) left, ceil((K-1)/2) right;
@@ -140,9 +149,23 @@ def _as2d(x: Tensor, name: str) -> np.ndarray:
 # convolution
 
 
-# bytes of each (C, tile) float64 buffer of the depthwise conv; three of them
-# stay in a core's L2 cache
-DEPTHWISE_TILE_BYTES = 2**18
+# bytes of each float64 scratch tile; the depthwise conv's four tiles stay in
+# a core's L2 cache
+TILE_BYTES = 2**18
+
+
+def _tiles(rows: int, cols: int, per: int):
+    """(r0, r1, c0, c1) tiles of a (rows, cols) array, per elements at most:
+    blocks of whole rows, or column segments of one row when a row is
+    longer than per."""
+    if cols <= per:
+        step = per // cols
+        for r0 in range(0, rows, step):
+            yield r0, min(r0 + step, rows), 0, cols
+    else:
+        for r in range(rows):
+            for c0 in range(0, cols, per):
+                yield r, r + 1, c0, min(c0 + per, cols)
 
 
 def conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
@@ -175,43 +198,66 @@ def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray) -> None:
 
     out has (T - 1) // stride + 1 columns. Each output is rounded to float32;
     out is float32, or float64 when it is the input of the pointwise GEMM
-    that follows. Works on tiles of output columns, so its float64 input,
-    product and sum buffers stay in cache and no padded copy exists. Per
-    output element the sum starts at +0.0 and adds the taps in order; a tap
-    that would read padding would add a signed zero, which leaves such a sum
-    unchanged, so it is skipped.
+    that follows. The result is the sum over taps, in order, of
+    w[c, tap] * x[c, j * stride + tap - pad_l] with padding read as 0.0,
+    started at +0.0 and rounded once.
+
+    A tile holds the zero-padded input of a block of whole rows (or, for a
+    row longer than a tile, one row's segment), each row stride * la slots
+    long for la output slots, flat: tap j of output slot i then reads flat
+    index stride * i + j, so each tap is one 1-D ufunc over the tile. Slots
+    past a row's last output read into the next row and are dropped. The
+    tap weights are expanded to the tile's shape (a one-row tile takes the
+    scalar), so no multiply broadcasts a (C, 1) column.
+
+    The first tap's product is the accumulator itself, with no +0.0 start:
+    (+0.0 + p0) equals p0 unless p0 is -0.0, and from there the two sums
+    differ at most in the sign of a zero. A sum that starts at +0.0 is never
+    -0.0, so the final np.add(acc, 0.0) into float32 gives exactly its bits.
+    The padding taps add w * 0.0 = ±0.0, which leaves the sum unchanged.
     """
     c, t = xa.shape
     k = w64.shape[1]
     pad_l = (k - 1) // 2
     t_out = out.shape[1]
-    tile = min(max(1, DEPTHWISE_TILE_BYTES // (8 * c)), t_out)
-    xs = np.empty((c, (tile - 1) * stride + k), dtype=np.float64)
-    acc = np.empty((c, tile), dtype=np.float64)
-    prod = np.empty((c, tile), dtype=np.float64)
-    rounded = np.empty((c, tile), dtype=np.float32)
-    for j0 in range(0, t_out, tile):
-        j1 = min(j0 + tile, t_out)
-        # input columns the tile reads, clipped to the real input
-        lo = max(j0 * stride - pad_l, 0)
-        hi = max(min((j1 - 1) * stride - pad_l + k, t), lo)
-        xs[:, : hi - lo] = xa[:, lo:hi]
-        a = acc[:, : j1 - j0]
-        a.fill(0.0)
-        for tap in range(k):
-            # output columns whose input column j * stride + tap - pad_l is real
-            ja = max(j0, -((tap - pad_l) // stride))
-            jb = min(j1, (t - 1 + pad_l - tap) // stride + 1)
-            if ja >= jb:
-                continue
-            first = ja * stride + tap - pad_l - lo
-            src = xs[:, first : first + (jb - ja - 1) * stride + 1 : stride]
-            p = prod[:, : jb - ja]
-            np.multiply(w64[:, tap : tap + 1], src, out=p)
-            a[:, ja - j0 : jb - j0] += p
-        r = rounded[:, : j1 - j0]
-        r[...] = a
-        out[:, j0:j1] = r
+    span = -(-k // stride)  # slots a row needs past its last output
+    slots = TILE_BYTES // (8 * stride)
+    cols = t_out if t_out - 1 + span <= slots else max(1, slots - span + 1)
+    rows = min(c, max(1, slots // (cols - 1 + span)))
+    size = rows * (cols - 1 + span)
+    xs = np.empty(stride * size, dtype=np.float64)
+    acc, prod, wx = (np.empty(size, dtype=np.float64) for _ in range(3))
+    r32 = None if out.dtype == np.float32 else np.empty(rows * cols, dtype=np.float32)
+    for r0, r1, j0, j1 in _tiles(c, t_out, rows * cols):
+        cb, w = r1 - r0, j1 - j0
+        la = w - 1 + span
+        n = (cb - 1) * la + w  # slots up to the block's last output
+        start = j0 * stride - pad_l
+        lo, hi = max(start, 0), min(start + stride * la, t)
+        x2 = xs[: cb * stride * la].reshape(cb, stride * la)
+        x2[:, : lo - start] = 0.0
+        x2[:, lo - start : hi - start] = xa[r0:r1, lo:hi]
+        x2[:, hi - start :] = 0.0
+        a = acc[:n]
+        for j in range(k):
+            if cb == 1:
+                wj = w64[r0, j]
+            else:
+                wx[: cb * la].reshape(cb, la)[...] = w64[r0:r1, j : j + 1]
+                wj = wx[:n]
+            src = xs[j : j + stride * (n - 1) + 1 : stride]
+            if j == 0:
+                np.multiply(src, wj, out=a)
+            else:
+                np.multiply(src, wj, out=prod[:n])
+                a += prod[:n]
+        res = acc[: cb * la].reshape(cb, la)[:, :w]
+        if r32 is None:
+            np.add(res, 0.0, out=out[r0:r1, j0:j1])
+        else:
+            r = r32[: cb * w].reshape(cb, w)
+            np.add(res, 0.0, out=r)
+            out[r0:r1, j0:j1] = r
 
 
 def _gemm(w32: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -274,25 +320,44 @@ def batch_norm_infer(
     denom = var._a.astype(np.float64) + eps
     if (denom <= 0.0).any():
         raise NumericDomainError(f"batch_norm variance + eps must be positive, eps={eps}")
-    y = np.subtract(xa, mean._a.astype(np.float64)[:, None])
-    y /= np.sqrt(denom)[:, None]
-    y *= gamma._a.astype(np.float64)[:, None]
-    return Tensor._wrap(np.add(y, beta._a.astype(np.float64)[:, None],
-                               out=np.empty(xa.shape, dtype=np.float32)))
+    mu, sd = mean._a.astype(np.float64)[:, None], np.sqrt(denom)[:, None]
+    g, b = gamma._a.astype(np.float64)[:, None], beta._a.astype(np.float64)[:, None]
+    out = np.empty(xa.shape, dtype=np.float32)
+    buf = np.empty(min(xa.size, TILE_BYTES // 8), dtype=np.float64)
+    for r0, r1, c0, c1 in _tiles(*xa.shape, TILE_BYTES // 8):
+        y = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+        np.subtract(xa[r0:r1, c0:c1], mu[r0:r1], out=y)
+        y /= sd[r0:r1]
+        y *= g[r0:r1]
+        np.add(y, b[r0:r1], out=out[r0:r1, c0:c1])
+    return Tensor._wrap(out)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row layer norm over (rows, features), population variance."""
+    """Per-row layer norm over (rows, features), population variance.
+
+    Works on blocks of whole rows, so each row's mean and variance are the
+    same contiguous float64 reductions as over the whole array; a row longer
+    than a tile is a block of its own.
+    """
     xa = _as2d(x, "layer_norm input (rows, features)")
-    d = xa.shape[1]
+    rows, d = xa.shape
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"features axis: gamma/beta expected ({d},)")
-    y = xa.astype(np.float64)
-    y -= y.mean(axis=1, keepdims=True)
-    y /= np.sqrt(np.square(y).mean(axis=1, keepdims=True) + eps)
-    y *= gamma._a.astype(np.float64)
-    return Tensor._wrap(np.add(y, beta._a.astype(np.float64),
-                               out=np.empty(xa.shape, dtype=np.float32)))
+    g, b = gamma._a.astype(np.float64), beta._a.astype(np.float64)
+    step = min(rows, max(1, TILE_BYTES // (8 * d)))
+    buf, sq = np.empty((step, d), dtype=np.float64), np.empty((step, d), dtype=np.float64)
+    out = np.empty(xa.shape, dtype=np.float32)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        y, s = buf[: r1 - r0], sq[: r1 - r0]
+        y[...] = xa[r0:r1]
+        y -= y.mean(axis=1, keepdims=True)
+        np.square(y, out=s)
+        y /= np.sqrt(s.mean(axis=1, keepdims=True) + eps)
+        y *= g
+        np.add(y, b, out=out[r0:r1])
+    return Tensor._wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +369,18 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid32(xa: np.ndarray) -> np.ndarray:
-    y = np.negative(xa, dtype=np.float64)
-    np.exp(y, out=y)
-    y += 1.0
-    return np.divide(1.0, y, out=np.empty(xa.shape, dtype=np.float32))
+    """1 / (1 + exp(-x)) in float64, rounded to float32, over flat tiles."""
+    out = np.empty(xa.shape, dtype=np.float32)
+    xf, of = xa.reshape(-1), out.reshape(-1)
+    per = TILE_BYTES // 8
+    buf = np.empty(min(xf.size, per), dtype=np.float64)
+    for i in range(0, xf.size, per):
+        y = buf[: min(per, xf.size - i)]
+        np.negative(xf[i : i + per], out=y, dtype=np.float64)
+        np.exp(y, out=y)
+        y += 1.0
+        np.divide(1.0, y, out=of[i : i + per])
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -344,10 +417,45 @@ def transpose(x: Tensor) -> Tensor:
     return Tensor._wrap(_as2d(x, "transpose input").T)
 
 
+# numpy's pairwise sum splits only runs longer than this
+_PAIRWISE_BLOCK = 128
+
+
 def mean_over_time(x: Tensor) -> Tensor:
     """Mean over the time axis of (C, T), float64 accumulation."""
     xa = _as2d(x, "mean_over_time input (channels, time)")
-    return Tensor._wrap(xa.astype(np.float64).mean(axis=1).astype(np.float32))
+    c, t = xa.shape
+    per = max(TILE_BYTES // 8, _PAIRWISE_BLOCK)
+    sums = np.empty(c, dtype=np.float64)
+    buf = np.empty(min(xa.size, per), dtype=np.float64)
+    if t <= per:
+        for r0, r1, _, _ in _tiles(c, t, per):
+            y = buf[: (r1 - r0) * t].reshape(r1 - r0, t)
+            y[...] = xa[r0:r1]
+            np.add.reduce(y, axis=1, out=sums[r0:r1])
+    else:
+        for r in range(c):
+            sums[r] = _row_sum(xa[r], buf)
+    return Tensor._wrap(np.divide(sums, t, out=np.empty(c, dtype=np.float32)))
+
+
+def _row_sum(row: np.ndarray, buf: np.ndarray) -> float:
+    """np.add.reduce of row in float64, bit for bit, through buf as scratch.
+
+    numpy sums a contiguous float64 run pairwise: a run of n > 128 is the
+    sum of its first n2 = n // 2 rounded down to a multiple of 8 elements
+    and of the rest. Splitting the same way until a run fits buf, which
+    holds at least 128, gives the same tree. numpy starts each run's sum at
+    +0.0, which changes only a -0.0 into +0.0, and the whole row's +0.0
+    start makes a zero sum +0.0 either way.
+    """
+    n = row.size
+    if n <= buf.size:
+        y = buf[:n]
+        y[...] = row
+        return np.add.reduce(y)
+    n2 = n // 2 - (n // 2) % 8
+    return _row_sum(row[:n2], buf) + _row_sum(row[n2:], buf)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from lfab import encoders, tensor
 from lfab.attention import AttentionConfig
+from lfab.cli import PRESETS, resolve_run_config
 from lfab.encoders import EncoderConfig
 from lfab.errors import ConfigError, ShapeError
 from lfab.tensor import Tensor
@@ -105,6 +106,85 @@ class TestShapes:
         m = encoders.build(toy_cfg("conv_only"), seed=0)
         with pytest.raises(ShapeError):
             encoders.encode(m, Tensor(np.zeros((50, 40), dtype=np.float32)))
+
+
+# Each preset's separable conv layers as runs of (count, c_in, c_out, K,
+# stride, output frames at T = 1001), written out from the layouts the
+# encoders follow: conv-only (QuartzNet) two stride-2 prologue layers, then
+# stride-1 blocks; conv+SE (ContextNet) widths c, 2c, 4c, 8c after a K = 5
+# prologue, stride 2 on the last block of segments 1-3; Citrinet one width,
+# stride 2 on the first block of segments 2-4; Conformers three stride-2,
+# K = 9 subsampling layers.
+SCHEDULE_T = 1001
+PINNED_SCHEDULES = {
+    "toy-quartznet2": [(1, 80, 64, 7, 2, 501), (1, 64, 64, 7, 2, 251), (8, 64, 64, 7, 1, 251)],
+    "toy-contextnet": [
+        (1, 80, 32, 5, 1, 1001), (1, 32, 32, 5, 1, 1001), (1, 32, 32, 5, 2, 501),
+        (1, 32, 64, 5, 1, 501), (1, 64, 64, 5, 2, 251),
+        (1, 64, 128, 5, 1, 251), (1, 128, 128, 5, 2, 126),
+        (1, 128, 256, 5, 1, 126), (1, 256, 256, 5, 1, 126),
+    ],
+    "toy-citrinet": [
+        (1, 80, 32, 5, 1, 1001), (1, 32, 32, 5, 1, 1001), (1, 32, 32, 3, 1, 1001),
+        (1, 32, 32, 7, 2, 501), (1, 32, 32, 5, 1, 501),
+        (1, 32, 32, 9, 2, 251), (1, 32, 32, 5, 1, 251),
+        (1, 32, 32, 7, 2, 126), (1, 32, 32, 3, 1, 126),
+    ],
+    "toy-conformer": [(1, 80, 64, 9, 2, 501), (1, 64, 64, 9, 2, 251), (1, 64, 64, 9, 2, 126)],
+    "toy-fastconformer": [(1, 80, 64, 9, 2, 501), (1, 64, 64, 9, 2, 251), (1, 64, 64, 9, 2, 126)],
+    "toy-fastconformer-gt": [(1, 80, 64, 9, 2, 501), (1, 64, 64, 9, 2, 251),
+                             (1, 64, 64, 9, 2, 126)],
+    "table2-quartznet2": [(1, 80, 1024, 7, 2, 501), (1, 1024, 1024, 7, 2, 251),
+                          (112, 1024, 1024, 7, 1, 251)],
+    "table2-contextnet": [
+        (1, 80, 592, 5, 1, 1001), (3, 592, 592, 5, 1, 1001), (1, 592, 592, 5, 2, 501),
+        (1, 592, 1184, 5, 1, 501), (2, 1184, 1184, 5, 1, 501), (1, 1184, 1184, 5, 2, 251),
+        (1, 1184, 2368, 5, 1, 251), (2, 2368, 2368, 5, 1, 251), (1, 2368, 2368, 5, 2, 126),
+        (1, 2368, 4736, 5, 1, 126), (3, 4736, 4736, 5, 1, 126),
+    ],
+    "table2-conformer": [(1, 80, 512, 9, 2, 501), (1, 512, 512, 9, 2, 251),
+                         (1, 512, 512, 9, 2, 126)],
+    "table2-fastconformer": [(1, 80, 512, 9, 2, 501), (1, 512, 512, 9, 2, 251),
+                             (1, 512, 512, 9, 2, 126)],
+}
+
+
+def expand_runs(runs):
+    return [row for count, *row in runs for _ in range(count)]
+
+
+class TestConvSchedule:
+    """conv_schedule of every preset, and the frames each layer emits, pinned:
+    a stride moved within a segment changes neither parameter counts nor the
+    total downsampling, so only a per-layer pin sees it."""
+
+    def test_presets_are_all_pinned(self):
+        assert sorted(PINNED_SCHEDULES) == sorted(PRESETS)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_schedule_and_frames_match_pin(self, preset, monkeypatch):
+        cfg = resolve_run_config(preset).encoder
+        want = expand_runs(PINNED_SCHEDULES[preset])
+        got, t = [], SCHEDULE_T
+        for s in encoders.conv_schedule(cfg):
+            t = -(-t // s.stride)
+            got.append([s.c_in, s.c_out, s.k, s.stride, t])
+        assert got == want
+        if not preset.startswith("toy-"):
+            return
+        # the frames the forward pass really emits, layer by layer
+        frames = []
+        real = tensor.depthwise_separable_conv1d
+
+        def spy(*args, **kwargs):
+            y = real(*args, **kwargs)
+            frames.append(y.shape[1])
+            return y
+
+        monkeypatch.setattr(tensor, "depthwise_separable_conv1d", spy)
+        model = encoders.build(cfg, seed=0)
+        encoders.encode(model, feats(SCHEDULE_T))
+        assert frames == [row[-1] for row in want]
 
 
 class TestDeterminismAndBounds:

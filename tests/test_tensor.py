@@ -1,5 +1,7 @@
 """Tensor substrate tests: brute-force conv oracle, shape laws, accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,22 +112,63 @@ def layer_norm_reference(x, gamma, beta, eps=1e-5):
     return y.astype(np.float32)
 
 
+def record_tiles(monkeypatch):
+    """Spy on tensor._tiles: a list that collects (rows, cols, tiles) per call."""
+    calls = []
+    real = tensor._tiles
+
+    def spy(rows, cols, per):
+        tiles = list(real(rows, cols, per))
+        calls.append((rows, cols, tiles))
+        return iter(tiles)
+
+    monkeypatch.setattr(tensor, "_tiles", spy)
+    return calls
+
+
+def tile_kinds(calls):
+    """Which tile geometries the recorded calls used."""
+    kinds = set()
+    for rows, cols, tiles in calls:
+        blocks = [r1 - r0 for r0, r1, c0, c1 in tiles if c1 - c0 == cols]
+        if len(blocks) < len(tiles):
+            kinds.add("row segments")
+        if len(blocks) > 1 and blocks[-1] < blocks[0]:
+            kinds.add("partial last block")
+        if len(blocks) > 1 and blocks[0] == 1:
+            kinds.add("one-row blocks")
+    return kinds
+
+
 class TestConv1dBitExact:
     """Fast conv1d paths against the padded reference loop, byte for byte."""
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("tile_cols", [1, 3, 64, None])
-    def test_depthwise(self, monkeypatch, k, stride, tile_cols):
-        c = 6
-        if tile_cols is not None:
-            monkeypatch.setattr(tensor, "DEPTHWISE_TILE_BYTES", 8 * c * tile_cols)
+    @pytest.mark.parametrize("tile_slots", [1, 3, 64, None])
+    def test_depthwise(self, monkeypatch, k, stride, tile_slots):
+        # TILE_BYTES of tile_slots float64s. 1 and 3 cut every row into
+        # segments; 64 gives, as T grows, blocks of several whole rows, a
+        # partial last block, one-row blocks, and rows longer than a tile;
+        # None keeps the default, one block of all rows
+        c = 7
+        if tile_slots is not None:
+            monkeypatch.setattr(tensor, "TILE_BYTES", 8 * tile_slots)
+        calls = record_tiles(monkeypatch)
         rng = np.random.default_rng(100 + k)
-        for t in (1, 2, k - 1, k, 2 * k + 1, 37, 200):
+        for t in (1, 2, k - 1, k, 2 * k + 1, 16, 37, 200):
             x = signed_zero_input(rng, (c, t))
             w = rng.standard_normal((c, 1, k)).astype(np.float32)
             w[0, 0, :] = -0.0
+            w[1, 0, ::2] = 0.0
             assert_conv_bits(x, w, stride=stride)
+        kinds = tile_kinds(calls)
+        if tile_slots is None:
+            assert "row segments" not in kinds
+        else:
+            assert "row segments" in kinds
+        if tile_slots == 64:
+            assert {"partial last block", "one-row blocks"} <= kinds
 
     def test_depthwise_long_input_spans_many_tiles(self):
         rng = np.random.default_rng(5)
@@ -397,6 +440,112 @@ class TestElementwise:
         want = tensor.mul(x, tensor.sigmoid(x)).array
         assert tensor.silu(x).array.tobytes() == want.tobytes()
 
+
+
+def batch_norm_reference(x, gamma, beta, mean, var, eps=1e-5):
+    """batch_norm_infer as an out-of-place formula."""
+    y = (x - mean.astype(np.float64)[:, None]) / np.sqrt(var.astype(np.float64) + eps)[:, None]
+    return (gamma.astype(np.float64)[:, None] * y + beta.astype(np.float64)[:, None]).astype(np.float32)
+
+
+def sigmoid_reference(x):
+    return (1.0 / (1.0 + np.exp(-x.astype(np.float64)))).astype(np.float32)
+
+
+def mean_over_time_reference(x):
+    return x.astype(np.float64).mean(axis=1).astype(np.float32)
+
+
+class TestTiledKernels:
+    """The tiled norm, activation and mean kernels against their formulas,
+    byte for byte, over several tiles and a partial one, and over rows
+    longer than a tile."""
+
+    @pytest.mark.parametrize("tile_slots", [200, None])
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 23), (13, 57), (3, 1000), (2, 70001)])
+    def test_bits_match_formulas(self, monkeypatch, tile_slots, shape):
+        if tile_slots is not None:
+            monkeypatch.setattr(tensor, "TILE_BYTES", 8 * tile_slots)
+        calls = record_tiles(monkeypatch)
+        rng = np.random.default_rng(sum(shape))
+        c, t = shape
+        x = signed_zero_input(rng, shape) * np.float32(rng.choice([1.0, 20.0]))
+        x[0, : t // 2] = -0.0
+        gamma, beta, mean = (rng.standard_normal(c).astype(np.float32) for _ in range(3))
+        beta[0] = -0.0
+        var = np.abs(rng.standard_normal(c)).astype(np.float32)
+        xt = Tensor(x)
+        got = tensor.batch_norm_infer(xt, *map(Tensor, (gamma, beta, mean, var)))
+        assert got.array.tobytes() == batch_norm_reference(x, gamma, beta, mean, var).tobytes()
+        sig = sigmoid_reference(x)
+        assert tensor.sigmoid(xt).array.tobytes() == sig.tobytes()
+        assert tensor.silu(xt).array.tobytes() == (x * sig).tobytes()
+        assert tensor.mean_over_time(xt).array.tobytes() == mean_over_time_reference(x).tobytes()
+        # layer norm over (rows, features) of the same shape
+        g, b = (rng.standard_normal(t).astype(np.float32) for _ in range(2))
+        got = tensor.layer_norm(xt, Tensor(g), Tensor(b))
+        assert got.array.tobytes() == layer_norm_reference(x, g, b).tobytes()
+        if tile_slots is not None and shape in ((9, 23), (13, 57)):
+            assert {"partial last block"} <= tile_kinds(calls)
+        if t > (tile_slots or tensor.TILE_BYTES // 8):
+            assert "row segments" in tile_kinds(calls)
+
+    def test_mean_of_long_rows_keeps_numpy_pairwise_tree(self, monkeypatch):
+        # rows of lengths around the pairwise split points, summed in runs
+        # that fit a tile, against numpy's one-pass row sums. Each row holds
+        # pairs of huge values of opposite sign among small ones, so which
+        # small values a huge partial sum swallows depends on the summation
+        # tree, and a different tree shows even after rounding to float32.
+        rng = np.random.default_rng(53)
+        for t in (129, 200, 201, 256, 257, 1000, 1027, 4099):
+            x = rng.standard_normal((3, t)).astype(np.float32)
+            for row in x:
+                idx = rng.permutation(t)[: 2 * (t // 16)].reshape(2, -1)
+                big = np.float32(10.0) ** rng.uniform(15, 30, idx.shape[1]).astype(np.float32)
+                row[idx[0]], row[idx[1]] = big, -big
+            for tile_slots in (200, 128, 8):
+                monkeypatch.setattr(tensor, "TILE_BYTES", 8 * tile_slots)
+                got = tensor.mean_over_time(Tensor(x)).array
+                assert got.tobytes() == mean_over_time_reference(x).tobytes()
+
+
+def heap_peak_over_output(fn, *args):
+    """tracemalloc heap peak of fn(*args) above the heap at entry, minus the
+    bytes of its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+class TestTiledScratchBound:
+    """No tiled kernel builds a full-size float64 temporary: its heap peak is
+    its output plus a few tiles, however long the time axis."""
+
+    @pytest.mark.parametrize("shape", [(64, 60000), (4736, 375)])
+    def test_heap_peak_is_output_plus_tiles(self, shape):
+        rng = np.random.default_rng(59)
+        c, t = shape
+        x = Tensor(rng.standard_normal(shape).astype(np.float32))
+        chan = [Tensor(rng.random(c).astype(np.float32) + 0.5) for _ in range(4)]
+        w_dw = Tensor(rng.standard_normal((c, 1, 5)).astype(np.float32))
+        x_rows = Tensor(rng.standard_normal((t, c)).astype(np.float32))
+        feat = [Tensor(np.ones(c, dtype=np.float32)), Tensor(np.zeros(c, dtype=np.float32))]
+        bound = 6 * tensor.TILE_BYTES
+        for name, fn, args in (
+            ("conv1d", lambda a, w: tensor.conv1d(a, w, groups=c), (x, w_dw)),
+            ("batch_norm_infer", tensor.batch_norm_infer, (x, *chan)),
+            ("layer_norm", tensor.layer_norm, (x_rows, *feat)),
+            ("sigmoid", tensor.sigmoid, (x,)),
+            ("silu", tensor.silu, (x,)),
+            ("mean_over_time", tensor.mean_over_time, (x,)),
+        ):
+            extra = heap_peak_over_output(fn, *args)
+            assert extra <= bound, f"{name}: {extra} bytes of scratch over {bound}"
 
 
 class TestMatmulSoftmax:
