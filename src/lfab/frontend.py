@@ -92,12 +92,21 @@ def read_wav(path) -> AudioBuffer:
             raw = wf.readframes(n)
     except (wave.Error, EOFError, OSError) as exc:
         raise AudioFormatError(f"not a readable RIFF wav file: {exc}") from exc
+    except RuntimeError as exc:
+        # wave raises a bare RuntimeError when a chunk it skips runs past
+        # the end of the RIFF chunk
+        raise AudioFormatError("not a readable RIFF wav file: corrupt chunk size") from exc
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"unsupported rate, expected {SAMPLE_RATE}, got {rate}")
     if channels != 1:
         raise AudioFormatError(f"expected mono audio, got {channels} channels")
     if width != 2:
         raise AudioFormatError(f"expected 16-bit PCM, got sample width {width}")
+    if len(raw) % 2:
+        raise AudioFormatError(
+            f"PCM data ends mid-sample: {len(raw)} bytes is not a whole "
+            "number of 16-bit samples"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
     samples /= 32768.0
     return AudioBuffer(samples)

@@ -100,8 +100,12 @@ def read_manifest(path) -> list[ManifestEntry]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+                )
             try:
                 entries.append(
                     ManifestEntry(
@@ -112,6 +116,10 @@ def read_manifest(path) -> list[ManifestEntry]:
                 )
             except KeyError as e:
                 raise ValueError(f"{path}:{lineno}: missing field {e.args[0]!r}") from e
+            except (TypeError, ValueError, OverflowError) as e:
+                # a field of the wrong type, e.g. "duration": {"x": 1} or a
+                # non-positive or overflowing duration
+                raise ValueError(f"{path}:{lineno}: {e}") from e
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main."""
 
 import json
+import struct
 import weakref
 
 import numpy as np
@@ -477,6 +478,67 @@ class TestExitCodes:
                            "--audio", str(path))
         assert code == 2
         assert "too short" in err
+
+
+# JSON values a fuzzed manifest line or field may take
+FUZZ_JSON_VALUES = [None, True, 0, -1, 3, 1e308, 10**400, "", "x", [], [1, 2],
+                    {}, {"x": 1}, float("nan"), float("inf")]
+
+
+class TestInputFuzz:
+    """Seeded mutations of each user input: every exit is 0 or 2, never 5."""
+
+    def test_manifest_mutations_exit_0_or_2(self, capsys, tmp_path):
+        rows = [{"audio_filepath": f"talk{i}.wav", "duration": 60.0 * (i + 1),
+                 "text": "a b"} for i in range(3)]
+        rng = np.random.default_rng(5)
+        path = tmp_path / "m.json"
+        codes = {}
+        for case in range(300):
+            kind = case % 4
+            if kind >= 2:  # a line, or one field of it, set to a JSON value
+                mutated = [dict(r) for r in rows]
+                value = FUZZ_JSON_VALUES[rng.integers(len(FUZZ_JSON_VALUES))]
+                i = rng.integers(len(rows))
+                if kind == 2:
+                    mutated[i] = value
+                else:
+                    mutated[i][list(rows[0])[rng.integers(3)]] = value
+                data = "".join(json.dumps(r) + "\n" for r in mutated).encode()
+            else:
+                data = bytearray("".join(json.dumps(r) + "\n" for r in rows).encode())
+                if kind == 0:  # one byte anywhere
+                    data[rng.integers(len(data))] = rng.integers(256)
+                else:  # truncation
+                    del data[rng.integers(len(data)):]
+            path.write_bytes(bytes(data))
+            code, _, err = run(capsys, "manifest-stats", "--manifest", str(path))
+            assert code in (0, 2), (case, bytes(data), err)
+            codes[code] = codes.get(code, 0) + 1
+        assert set(codes) == {0, 2}, codes
+
+    def test_wav_header_mutations_exit_0_or_2(self, capsys, tmp_path):
+        path = tmp_path / "a.wav"
+        frontend.write_wav(path, frontend.synth_audio(0.5, seed=3))
+        data = path.read_bytes()
+        rng = np.random.default_rng(7)
+        codes = {}
+        for case in range(300):
+            mutated = bytearray(data)
+            kind = case % 3
+            if kind == 0:  # one header byte set to a random value
+                mutated[rng.integers(44)] = rng.integers(256)
+            elif kind == 1:  # a random u32 over four header bytes
+                at = rng.integers(41)
+                mutated[at:at + 4] = struct.pack("<I", rng.integers(2**32))
+            else:  # truncation
+                del mutated[rng.integers(len(data)):]
+            path.write_bytes(bytes(mutated))
+            code, _, err = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                               "--audio", str(path))
+            assert code in (0, 2), (case, err)
+            codes[code] = codes.get(code, 0) + 1
+        assert set(codes) == {0, 2}, codes
 
 
 class TestWeightsEntryNamesStable:

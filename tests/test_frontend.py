@@ -2,6 +2,7 @@
 
 import gc
 import math
+import struct
 import tracemalloc
 import wave
 
@@ -205,6 +206,24 @@ class TestWavIO:
         f = tmp_path / "bad.wav"
         f.write_bytes(b"RIFFnope")
         with pytest.raises(AudioFormatError):
+            frontend.read_wav(f)
+
+    def test_chunk_running_past_riff_end_rejected(self, tmp_path):
+        # a fmt chunk size past the end of the file: wave's chunk skip
+        # raises a bare RuntimeError, which must not escape as exit 5
+        f = tmp_path / "chunk.wav"
+        write_pcm16(f, [0] * 800)
+        data = bytearray(f.read_bytes())
+        data[16:20] = struct.pack("<I", 2**31)
+        f.write_bytes(bytes(data))
+        with pytest.raises(AudioFormatError, match="corrupt chunk size"):
+            frontend.read_wav(f)
+
+    def test_odd_pcm_byte_count_rejected(self, tmp_path):
+        f = tmp_path / "odd.wav"
+        write_pcm16(f, [0] * 800)
+        f.write_bytes(f.read_bytes()[:-1])
+        with pytest.raises(AudioFormatError, match="ends mid-sample: 1599 bytes"):
             frontend.read_wav(f)
 
     def test_round_trip_data_chunk_identical(self, tmp_path):

@@ -186,6 +186,24 @@ class TestManifest:
         with pytest.raises(ValueError, match="duration"):
             read_manifest(p)
 
+    @pytest.mark.parametrize("line, match", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ("3", "expected a JSON object, got int"),
+        ("null", "expected a JSON object, got NoneType"),
+        ('{"audio_filepath": "a.wav", "duration": {"x": 1}, "text": "x"}', "float"),
+        ('{"audio_filepath": "a.wav", "duration": "soon", "text": "x"}', "float"),
+        ('{"audio_filepath": "a.wav", "duration": 1' + "0" * 400 + ', "text": "x"}',
+         "too large"),
+        ("[" * 100000, "invalid JSON"),
+    ])
+    def test_bad_line_is_value_error_naming_the_line(self, tmp_path, line, match):
+        p = tmp_path / "m.json"
+        p.write_text('{"audio_filepath": "a.wav", "duration": 1.0, "text": "x"}\n'
+                     + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=match) as e:
+            read_manifest(p)
+        assert str(e.value).startswith(f"{p}:2: ")
+
     def test_empty_manifest_rejected(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("\n", encoding="utf-8")

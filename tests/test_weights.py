@@ -1,8 +1,10 @@
 """Binary weights file round-trips, format rejection and fuzzing."""
 
 import hashlib
-import io
+import os
+import signal
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,19 @@ def small_weights():
     }
 
 
+# values of the one entry of multi_span_weights: over two spans and a part
+MULTI_SPAN_VALUES = (2 * weights._SPAN + 3 * weights._BLOCK) // 4 + 5
+
+
+def multi_span_weights():
+    """A small entry read inline, then one read over several pool tasks."""
+    rng = np.random.default_rng(12)
+    return {
+        "bias": Tensor(rng.standard_normal(7).astype(np.float32)),
+        "big": Tensor(rng.standard_normal(MULTI_SPAN_VALUES).astype(np.float32)),
+    }
+
+
 class TestRoundTrip:
     def test_serialize_deserialize_serialize_is_identity(self):
         w = small_weights()
@@ -52,6 +67,45 @@ class TestRoundTrip:
         assert path.read_bytes() == serialize_weights(w)
         out = read_weights_file(path)
         assert list(out) == list(w)
+
+    def test_entries_over_many_blocks_read_back_identical(self, tmp_path):
+        # entries of one block, one block plus a value, and several spans,
+        # with more pool tasks in flight than threads
+        rng = np.random.default_rng(13)
+        sizes = [weights._BLOCK // 4, weights._BLOCK // 4 + 1, 3, MULTI_SPAN_VALUES]
+        w = {f"e{i}": Tensor(rng.standard_normal(n).astype(np.float32))
+             for i, n in enumerate(sizes * 2)}
+        data = serialize_weights(w)
+        path = tmp_path / "w.lfwb"
+        path.write_bytes(data)
+        for out in (deserialize_weights(data), read_weights_file(path)):
+            assert serialize_weights(out) == data
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_reads_on_its_own_threads(self, tmp_path):
+        # a child forked after a read has the parent's pool object but none
+        # of its threads; reading there must not wait on them forever
+        path = tmp_path / "w.lfwb"
+        write_weights_file(path, multi_span_weights())
+        read_weights_file(path)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = int(serialize_weights(read_weights_file(path)) != path.read_bytes())
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's read did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_write_replaces_existing_file(self, tmp_path):
         path = tmp_path / "w.lfwb"
@@ -158,7 +212,37 @@ class TestFormatErrors:
         data = serialize_weights(small_weights())
         for cut in (6, len(data) - 4):
             with pytest.raises(WeightsFormatError, match="truncated"):
-                weights._read_weights(io.BytesIO(data[:cut]), len(data))
+                weights._read_weights(weights._bytes_source(data[:cut]), len(data))
+
+    @pytest.mark.parametrize("left", [0, 5, 2 * weights._SPAN + 3])
+    def test_source_ending_inside_a_pooled_entry(self, left):
+        # the short read of an entry read over several spans reports the
+        # entry's bytes read in total, as one read of the entry would
+        data = serialize_weights(multi_span_weights())
+        start = len(data) - MULTI_SPAN_VALUES * 4
+        with pytest.raises(WeightsFormatError) as e:
+            weights._read_weights(weights._bytes_source(data[:start + left]), len(data))
+        assert str(e.value) == (f"truncated weights file: needed {MULTI_SPAN_VALUES * 4} "
+                                f"bytes at offset {start}, read {left}")
+
+    @pytest.mark.parametrize("at", [0, 1, MULTI_SPAN_VALUES - 1])
+    @pytest.mark.parametrize("later", ["ndim", "trailing", "truncated"])
+    def test_bad_values_reported_before_a_later_header_error(self, at, later, rejects):
+        # the early entry's values are read while later headers are parsed;
+        # its NaN is still what is reported, as a sequential read would,
+        # before a later entry's infinities and before the header error
+        data = bytearray(serialize_weights(multi_span_weights()))
+        nan_at = len(data) - 4 * (MULTI_SPAN_VALUES - at)
+        data[nan_at:nan_at + 4] = struct.pack("<f", float("nan"))
+        data += struct.pack("<I", 5) + b"small" + struct.pack("<II", 1, 3)
+        data += struct.pack("<3f", *[float("inf")] * 3)
+        bad = {
+            "ndim": data + struct.pack("<I", 1) + b"z" + struct.pack("<I", 9),
+            "trailing": data + b"\x00",
+            "truncated": data[:-1],
+        }[later]
+        bad[4:8] = struct.pack("<I", 3 + (later == "ndim"))
+        rejects(bytes(bad), "^entry 'big': tensor values must be finite$")
 
 
 class TestLoadingIntoBuild:
@@ -277,3 +361,23 @@ class TestReadMemory:
             tracemalloc.stop()
         sizes = [t.nbytes for t in w.values()]
         assert peak <= sum(sizes) + max(sizes), (peak, sum(sizes), max(sizes))
+
+    @pytest.mark.parametrize("read", ["bytes", "file"])
+    def test_finite_check_holds_no_entry_sized_mask(self, tmp_path, read):
+        # each block is checked on its own, so the check adds a block's mask
+        # per thread, not a bool mask of the whole entry (4 MiB here)
+        data = serialize_weights(
+            {"w": Tensor(np.ones(4 * 2**20, dtype=np.float32))})
+        path = tmp_path / "w.lfwb"
+        path.write_bytes(data)
+        source = data if read == "bytes" else path
+        reader = deserialize_weights if read == "bytes" else read_weights_file
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            w = reader(source)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        entry = w["w"].nbytes
+        assert peak <= entry + 2 * weights._BLOCK, (peak, entry)
