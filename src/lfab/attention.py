@@ -65,20 +65,6 @@ class AttentionWeights:
     global_token: Tensor | None = None  # (1, D) iff the config uses one
 
 
-def init_attention_weights(cfg: AttentionConfig, rng: np.random.Generator) -> AttentionWeights:
-    d = cfg.model_dim
-    bound = 1.0 / math.sqrt(d)
-
-    def draw(*shape):
-        return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32))
-
-    return AttentionWeights(
-        w_q=draw(d, d), w_k=draw(d, d), w_v=draw(d, d), w_o=draw(d, d),
-        b_q=draw(d), b_k=draw(d), b_v=draw(d), b_o=draw(d),
-        global_token=draw(1, d) if cfg.use_global_token else None,
-    )
-
-
 def validate_weights(cfg: AttentionConfig, w: AttentionWeights) -> None:
     d = cfg.model_dim
     for name in ("w_q", "w_k", "w_v", "w_o"):

@@ -192,19 +192,14 @@ def predict_peak_bytes(cfg: EncoderConfig, t_frames: int) -> int:
 # timed pipeline
 
 
-def _decode(model: EncoderModel, decoder: str, enc, encoder_seconds: float):
+def _decode(model: EncoderModel, decoder: str, enc):
     vocab = decoders.default_vocab()
     if decoder == "ctc":
-        if model.ctc_head is None:
-            raise ConfigError("model has no ctc head attached")
-        logits = encoders.ctc_logits(model, enc)
-        return decoders.ctc_greedy(logits, vocab, encoder_seconds=encoder_seconds)
+        return decoders.ctc_greedy(encoders.ctc_logits(model, enc), vocab)
     if decoder == "rnnt":
         if model.rnnt_head is None:
             raise ConfigError("model has no rnnt head attached")
-        return decoders.rnnt_greedy(
-            enc, model.rnnt_head, vocab, encoder_seconds=encoder_seconds
-        )
+        return decoders.rnnt_greedy(enc, model.rnnt_head, vocab)
     raise ConfigError(f"unknown decoder {decoder!r}, expected ctc or rnnt")
 
 
@@ -226,27 +221,13 @@ def encode_and_decode(model: EncoderModel, decoder: str, fm: FeatureMatrix,
     t1 = time.perf_counter()
     enc = encoders.encode(model, fm.frames)
     t2 = time.perf_counter()
-    hyp = _decode(model, decoder, enc, encoder_seconds=t2 - t1)
+    hyp = _decode(model, decoder, enc)
     stages = {
         "frontend_s": frontend_seconds,
         "encoder_s": t2 - t1,
         "decoder_s": hyp.decode_seconds,
     }
     return hyp, stages
-
-
-def measure_rtf(
-    model: EncoderModel,
-    decoder: str,
-    audio: AudioBuffer,
-    repeats: int = DEFAULT_REPEATS,
-) -> BenchSample:
-    """Wall time over front-end + encoder + decode of the fastest repeat, and
-    the stage times of that repeat."""
-    _check_repeats(repeats)
-    with _timed_section():
-        runs = [_tracked_run(model, decoder, audio) for _ in range(repeats)]
-    return _sample(model, decoder, audio, runs)
 
 
 def sweep_rtf(
@@ -256,7 +237,9 @@ def sweep_rtf(
     seed: int,
     repeats: int = DEFAULT_REPEATS,
 ) -> BenchReport:
-    """One BenchSample per duration on synthetic audio, as measure_rtf makes.
+    """One BenchSample per duration on synthetic audio: the wall time over
+    front-end + encoder + decode of the fastest repeat, the stage times of
+    that repeat, and the predicted and tracked peak bytes.
 
     The repeats run in rounds, one run of every duration per round, so a
     slow stretch of the machine that would cover every repeat of a short

@@ -21,7 +21,7 @@ import time
 from . import bench, encoders, frontend, metrics
 from .attention import AttentionConfig
 from .encoders import EncoderConfig, EncoderModel
-from .errors import AudioFormatError, ConfigError, WeightsFormatError
+from .errors import AudioFormatError, ConfigError, ShapeError, WeightsFormatError
 from .weights import atomic_write, read_weights_file, write_weights_file
 
 log = logging.getLogger("lfab")
@@ -91,7 +91,6 @@ class RunConfig:
     encoder: EncoderConfig
     seed: int = 0
     budget_bytes: int = DEFAULT_BUDGET_BYTES
-    preset: str | None = None
 
 
 def _check_int(key: str, value, minimum: int) -> None:
@@ -140,7 +139,6 @@ def resolve_run_config(name_or_path: str) -> RunConfig:
     """Resolve a --config value: a preset name or a JSON file path."""
     if name_or_path in PRESETS:
         raw = dict(PRESETS[name_or_path])
-        preset = name_or_path
     else:
         if not os.path.exists(name_or_path):
             names = ", ".join(sorted(PRESETS))
@@ -154,24 +152,18 @@ def resolve_run_config(name_or_path: str) -> RunConfig:
                 raise ConfigError(f"config file {name_or_path!r}: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {name_or_path!r} must hold a JSON object")
-        preset = None
     seed = raw.pop("seed", 0)
     budget = raw.pop("budget_bytes", DEFAULT_BUDGET_BYTES)
     _check_int("seed", seed, 0)
     _check_int("budget_bytes", budget, 1)
-    return RunConfig(
-        encoder=encoder_config_from_dict(raw),
-        seed=seed,
-        budget_bytes=budget,
-        preset=preset,
-    )
+    return RunConfig(encoder=encoder_config_from_dict(raw), seed=seed, budget_bytes=budget)
 
 
 def build_model(rc: RunConfig, seed: int, weights_path=None) -> EncoderModel:
     """Build encoder plus both heads, seeded or loaded from a weights file."""
     source = read_weights_file(weights_path) if weights_path else None
     model = encoders.build(rc.encoder, seed, source)
-    encoders.attach_heads(model, ("ctc", "rnnt"), source=source)
+    encoders.attach_heads(model, source=source)
     if source:
         extra = ", ".join(sorted(source)[:3])
         raise WeightsFormatError(
@@ -217,9 +209,13 @@ def cmd_transcribe(args) -> int:
             else os.path.join(base, e.audio_filepath)
             for e in entries
         ]
-    totals = {"frontend_s": 0.0, "encoder_s": 0.0, "decoder_s": 0.0}
+    totals = dict.fromkeys(bench.STAGES, 0.0)
     for path in paths:
-        hyp, stages = _transcribe_file(model, args.decoder, path)
+        try:
+            hyp, stages = _transcribe_file(model, args.decoder, path)
+        except (AudioFormatError, ShapeError) as e:
+            # the transcripts already printed stand; the message names the file
+            raise AudioFormatError(f"{path}: {e}") from e
         print(hyp.text)
         for key in totals:
             totals[key] += stages[key]

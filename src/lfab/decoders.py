@@ -48,7 +48,6 @@ def default_vocab() -> Vocab:
 class Hypothesis:
     token_ids: list[int]
     text: str
-    encoder_seconds: float = 0.0
     decode_seconds: float = 0.0
     frames: int = 0
     joint_evals: int | None = None  # RNNT only
@@ -68,7 +67,7 @@ class RnntDecoderWeights:
     w_out: Tensor  # (V+1, J)
 
 
-def ctc_greedy(logits: Tensor, vocab: Vocab, encoder_seconds: float = 0.0) -> Hypothesis:
+def ctc_greedy(logits: Tensor, vocab: Vocab) -> Hypothesis:
     """Per-frame argmax, collapse adjacent repeats, drop blanks."""
     if logits.ndim != 2 or logits.shape[1] != vocab.size + 1:
         raise ShapeError(
@@ -84,7 +83,6 @@ def ctc_greedy(logits: Tensor, vocab: Vocab, encoder_seconds: float = 0.0) -> Hy
     return Hypothesis(
         token_ids=token_ids,
         text=vocab.detokenize(token_ids),
-        encoder_seconds=encoder_seconds,
         decode_seconds=time.perf_counter() - t0,
         frames=logits.shape[0],
     )
@@ -104,7 +102,6 @@ def rnnt_greedy(
     w: RnntDecoderWeights,
     vocab: Vocab,
     max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME,
-    encoder_seconds: float = 0.0,
 ) -> Hypothesis:
     """Frame-synchronous greedy decode.
 
@@ -221,7 +218,6 @@ def rnnt_greedy(
     return Hypothesis(
         token_ids=token_ids,
         text=vocab.detokenize(token_ids),
-        encoder_seconds=encoder_seconds,
         decode_seconds=time.perf_counter() - t0,
         frames=enc64.shape[0],
         joint_evals=joint_evals,

@@ -25,7 +25,7 @@ from .attention import (
     lca_global_token,
     mha_full,
 )
-from .decoders import RnntDecoderWeights
+from .decoders import RnntDecoderWeights, default_vocab
 from .errors import ConfigError, ShapeError, WeightsFormatError
 from .tensor import Tensor
 
@@ -112,7 +112,7 @@ class EncoderConfig:
 
     @property
     def downsample_rate(self) -> int:
-        return 4 if self.family == CONV_ONLY else 8
+        return math.prod(s.stride for s in conv_schedule(self))
 
     def conv_se_widths(self) -> list[int]:
         """Per-segment channel widths [c, 2c, 4c, 8c] scaled by alpha."""
@@ -221,7 +221,6 @@ class EncoderModel:
     final_ln: LayerNormParams | None = None
     ctc_head: CtcHead | None = None
     rnnt_head: RnntDecoderWeights | None = None
-    vocab_size: int | None = None
 
     @property
     def parameter_count(self) -> int:
@@ -355,7 +354,6 @@ def _build_conformer_body(model: EncoderModel, reg: _Registry) -> None:
     model.proj_b = reg.uniform("proj.b", (d,), c)
     for i in range(cfg.num_blocks):
         p = f"block.{i}"
-        # draw order matches init_attention_weights for seed compatibility
         att_fields = {
             nm: reg.uniform(f"{p}.att.{nm}", (d, d), d)
             for nm in ("w_q", "w_k", "w_v", "w_o")
@@ -416,12 +414,8 @@ def build(cfg: EncoderConfig, seed: int, source: dict[str, Tensor] | None = None
 # closed-form parameter counts
 
 
-def _sep(c_in: int, c_out: int, k: int) -> int:
-    return tensor.separable_param_count(c_in, c_out, k)
-
-
 def _conv_block_params(c_in: int, c_out: int, k: int, se_reduction: int | None) -> int:
-    n = _sep(c_in, c_out, k) + 2 * c_out + 2 * c_out  # conv + BN (gamma/beta/mean/var)
+    n = tensor.separable_param_count(c_in, c_out, k) + 4 * c_out  # conv + BN (gamma/beta/mean/var)
     if se_reduction is not None:
         hidden = max(1, c_out // se_reduction)
         n += 2 * hidden * c_out
@@ -450,7 +444,9 @@ def expected_parameter_count(cfg: EncoderConfig) -> int:
         n += cfg.model_dim * prev
         return n
     d, c, ff, k = cfg.model_dim, cfg.channels, cfg.ff_expansion * cfg.model_dim, cfg.kernel_size
-    n = _sep(FEATURE_DIM, c, _CONFORMER_CONV_KERNEL) + 2 * _sep(c, c, _CONFORMER_CONV_KERNEL)
+    k_sub = _CONFORMER_CONV_KERNEL
+    n = (tensor.separable_param_count(FEATURE_DIM, c, k_sub)
+         + 2 * tensor.separable_param_count(c, c, k_sub))
     n += d * c + d  # projection
     per_block = (
         2 * (ff * d + ff + d * ff + d)  # two feed-forwards
@@ -493,41 +489,27 @@ RNNT_JOINT_DIM = 64
 _HEAD_SEED_OFFSET = 0x5EED
 
 
-def attach_heads(
-    model: EncoderModel,
-    heads=("ctc",),
-    vocab_size: int = 28,
-    embed_dim: int = RNNT_EMBED_DIM,
-    hidden_dim: int = RNNT_HIDDEN_DIM,
-    joint_dim: int = RNNT_JOINT_DIM,
-    source: dict[str, Tensor] | None = None,
-) -> EncoderModel:
-    """Attach decoder heads sharing the encoder. Build-phase only."""
-    if vocab_size < 1:
-        raise ConfigError(f"vocab_size must be >= 1, got {vocab_size}")
-    unknown = set(heads) - {"ctc", "rnnt"}
-    if unknown:
-        raise ConfigError(f"unknown heads {sorted(unknown)}")
-    d = model.config.model_dim
+def attach_heads(model: EncoderModel, source: dict[str, Tensor] | None = None) -> EncoderModel:
+    """Attach the CTC head, then the RNNT head, both over the encoder's
+    output and the default vocabulary. Build-phase only."""
+    v, d = default_vocab().size, model.config.model_dim
+    e, h, j = RNNT_EMBED_DIM, RNNT_HIDDEN_DIM, RNNT_JOINT_DIM
     reg = _Registry(model.seed + _HEAD_SEED_OFFSET, source)
     reg.weights = model.weights
-    if "ctc" in heads and model.ctc_head is None:
-        model.ctc_head = CtcHead(
-            w=reg.uniform("head.ctc.w", (vocab_size + 1, d), d),
-            b=reg.uniform("head.ctc.b", (vocab_size + 1,), d),
-        )
-    if "rnnt" in heads and model.rnnt_head is None:
-        model.rnnt_head = RnntDecoderWeights(
-            embedding=reg.uniform("head.rnnt.embedding", (vocab_size, embed_dim), embed_dim),
-            lstm_w_x=reg.uniform("head.rnnt.lstm.w_x", (4 * hidden_dim, embed_dim), embed_dim),
-            lstm_w_h=reg.uniform("head.rnnt.lstm.w_h", (4 * hidden_dim, hidden_dim), hidden_dim),
-            lstm_b=reg.uniform("head.rnnt.lstm.b", (4 * hidden_dim,), hidden_dim),
-            w_enc=reg.uniform("head.rnnt.joint.w_e", (joint_dim, d), d),
-            w_pred=reg.uniform("head.rnnt.joint.w_p", (joint_dim, hidden_dim), hidden_dim),
-            b_joint=reg.uniform("head.rnnt.joint.b", (joint_dim,), hidden_dim),
-            w_out=reg.uniform("head.rnnt.joint.w_out", (vocab_size + 1, joint_dim), joint_dim),
-        )
-    model.vocab_size = vocab_size
+    model.ctc_head = CtcHead(
+        w=reg.uniform("head.ctc.w", (v + 1, d), d),
+        b=reg.uniform("head.ctc.b", (v + 1,), d),
+    )
+    model.rnnt_head = RnntDecoderWeights(
+        embedding=reg.uniform("head.rnnt.embedding", (v, e), e),
+        lstm_w_x=reg.uniform("head.rnnt.lstm.w_x", (4 * h, e), e),
+        lstm_w_h=reg.uniform("head.rnnt.lstm.w_h", (4 * h, h), h),
+        lstm_b=reg.uniform("head.rnnt.lstm.b", (4 * h,), h),
+        w_enc=reg.uniform("head.rnnt.joint.w_e", (j, d), d),
+        w_pred=reg.uniform("head.rnnt.joint.w_p", (j, h), h),
+        b_joint=reg.uniform("head.rnnt.joint.b", (j,), h),
+        w_out=reg.uniform("head.rnnt.joint.w_out", (v + 1, j), j),
+    )
     return model
 
 

@@ -1,6 +1,6 @@
 """Error taxonomy shared across the package.
 
-Each class maps to one CLI exit code; see cli.EXIT_CODES.
+Each class maps to one CLI exit code; see cli.main.
 """
 
 

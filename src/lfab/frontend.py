@@ -42,30 +42,25 @@ class AudioBuffer:
     """Mono float32 audio in [-1, 1] at 16 kHz."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float32)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise AudioFormatError("audio must be a non-empty 1-D sample array")
-        if self.sample_rate != SAMPLE_RATE:
-            raise AudioFormatError(f"unsupported rate, expected {SAMPLE_RATE}")
         peak = float(max(self.samples.max(), -self.samples.min()))
         if peak > 1.0:
             raise AudioFormatError(f"samples exceed [-1, 1] (peak {peak:.4g})")
 
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 @dataclass
 class FeatureMatrix:
-    """T x 80 log-mel features plus the frame geometry that produced them."""
+    """T x 80 log-mel features, one row per 10 ms hop."""
 
     frames: Tensor
-    hop_seconds: float = HOP_SAMPLES / SAMPLE_RATE
-    window_seconds: float = WINDOW_SAMPLES / SAMPLE_RATE
 
     @property
     def num_frames(self) -> int:
@@ -82,7 +77,8 @@ def num_frames_for(n_samples: int) -> int:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a RIFF PCM16 mono 16 kHz file. Anything else is rejected."""
+    """Read a complete RIFF PCM16 mono 16 kHz file. Anything else, a file
+    shorter than its data chunk declares included, is rejected."""
     try:
         with wave.open(str(path), "rb") as wf:
             rate = wf.getframerate()
@@ -106,6 +102,11 @@ def read_wav(path) -> AudioBuffer:
         raise AudioFormatError(
             f"PCM data ends mid-sample: {len(raw)} bytes is not a whole "
             "number of 16-bit samples"
+        )
+    if len(raw) < 2 * n:
+        raise AudioFormatError(
+            f"truncated WAV: the data chunk declares {n} samples, "
+            f"the file holds {len(raw)} bytes of them"
         )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
     samples /= 32768.0

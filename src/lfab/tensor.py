@@ -22,7 +22,7 @@ Design rules, enforced here so every higher layer inherits them:
 - "same" padding splits K-1 as floor((K-1)/2) left, ceil((K-1)/2) right;
 - argmax ties resolve to the lowest index;
 - every Tensor registers its buffer with the allocation accounting below,
-  which is what bench.measure_rtf reads.
+  which is what bench.sweep_rtf reads.
 """
 
 from __future__ import annotations

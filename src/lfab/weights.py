@@ -221,18 +221,6 @@ def _read_weights(readinto, size: int) -> dict[str, Tensor]:
         wait(pending)
 
 
-def _bytes_source(data):
-    """A _Reader source over a bytes-like object: copies of its slices."""
-    view = memoryview(data).cast("B")
-
-    def readinto(buf, offset: int) -> int:
-        chunk = view[offset:offset + len(buf)]
-        buf[:len(chunk)] = chunk
-        return len(chunk)
-
-    return readinto
-
-
 def _fd_source(fd: int):
     """A _Reader source over an open file: os.preadv, which no other read
     of the same descriptor can move, so the pool's threads share it."""
@@ -247,10 +235,6 @@ def _fd_source(fd: int):
         return got
 
     return readinto
-
-
-def deserialize_weights(data: bytes) -> dict[str, Tensor]:
-    return _read_weights(_bytes_source(data), len(data))
 
 
 def read_weights_file(path) -> dict[str, Tensor]:

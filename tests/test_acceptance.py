@@ -17,6 +17,7 @@ from lfab.attention import AttentionConfig
 from lfab.decoders import RnntDecoderWeights, default_vocab
 from lfab.encoders import EncoderConfig
 from lfab.tensor import Tensor
+from test_attention import init_attention_weights
 
 
 @contextlib.contextmanager
@@ -36,7 +37,7 @@ def rand_tensor(rng, shape, scale=1.0):
 def conv_model_with_heads(seed=0):
     cfg = EncoderConfig(family="conv_only", model_dim=64, channels=64,
                         num_blocks=8)
-    return encoders.attach_heads(encoders.build(cfg, seed), ("ctc", "rnnt"))
+    return encoders.attach_heads(encoders.build(cfg, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def test_criterion_01_attention_equivalence():
                 left_context=t - 1 + int(rng.integers(0, 8)),
                 right_context=t - 1 + int(rng.integers(0, 8)),
             )
-            w = attention.init_attention_weights(cfg, rng)
+            w = init_attention_weights(cfg, rng)
             x = rand_tensor(rng, (t, cfg.model_dim))
             full = attention.mha_full(x, w, cfg)
             lca = attention.lca_chunked(x, w, cfg)
@@ -68,7 +69,7 @@ def test_criterion_01_attention_equivalence():
                 left_context=int(rng.integers(1, 161)),
                 right_context=int(rng.integers(1, 161)),
             )
-            w = attention.init_attention_weights(cfg, rng)
+            w = init_attention_weights(cfg, rng)
             x = rand_tensor(rng, (t, cfg.model_dim))
             got = attention.lca_chunked(x, w, cfg)
             ref = attention.lca_masked_oracle(x, w, cfg)

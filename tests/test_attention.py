@@ -1,12 +1,30 @@
 """Attention tests: band semantics, chunked-vs-oracle equivalence, memory growth."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lfab import attention, tensor
-from lfab.attention import AttentionConfig, init_attention_weights
+from lfab.attention import AttentionConfig
 from lfab.errors import ConfigError
 from lfab.tensor import Tensor
+
+
+def init_attention_weights(cfg, rng):
+    """Uniform +-1/sqrt(D) draws: the four projections, the four biases,
+    then the global token if the config uses one."""
+    d = cfg.model_dim
+    bound = 1.0 / math.sqrt(d)
+
+    def draw(*shape):
+        return Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+
+    return attention.AttentionWeights(
+        w_q=draw(d, d), w_k=draw(d, d), w_v=draw(d, d), w_o=draw(d, d),
+        b_q=draw(d), b_k=draw(d), b_v=draw(d), b_o=draw(d),
+        global_token=draw(1, d) if cfg.use_global_token else None,
+    )
 
 
 def make(num_heads=4, head_dim=16, left=128, right=128, gt=False, seed=0):

@@ -14,7 +14,6 @@ from lfab.bench import (
     BenchSample,
     ctc_rnnt_divergence,
     find_max_duration,
-    measure_rtf,
     predict_peak_bytes,
     run_pipeline,
     sweep_rtf,
@@ -37,7 +36,7 @@ def toy_cfg(family, win=16):
 
 @pytest.fixture(scope="module")
 def conv_model():
-    return encoders.attach_heads(encoders.build(toy_cfg("conv_only"), seed=0), ("ctc", "rnnt"))
+    return encoders.attach_heads(encoders.build(toy_cfg("conv_only"), seed=0))
 
 
 class TestBenchSample:
@@ -51,9 +50,11 @@ class TestBenchSample:
 
 
 class TestMeasureRtf:
+    """One-duration sweeps: what each BenchSample of a sweep measures."""
+
     def test_fields_and_exact_arithmetic(self, conv_model):
         audio = frontend.synth_audio(4.0, seed=0)
-        s = measure_rtf(conv_model, "ctc", audio, repeats=2)
+        [s] = sweep_rtf(conv_model, "ctc", [4.0], seed=0, repeats=2).samples
         assert s.duration_s == 4.0
         assert s.rtf == s.wall_s / s.duration_s
         assert s.wall_s > 0 and s.measured_peak_bytes > 0
@@ -63,7 +64,7 @@ class TestMeasureRtf:
         assert s.predicted_peak_bytes == predict_peak_bytes(conv_model.config, frames)
 
     def test_single_repeat_stages_sum_to_wall(self, conv_model):
-        s = measure_rtf(conv_model, "rnnt", frontend.synth_audio(2.0, seed=1), repeats=1)
+        [s] = sweep_rtf(conv_model, "rnnt", [2.0], seed=1, repeats=1).samples
         assert s.frontend_s + s.encoder_s + s.decoder_s == s.wall_s
 
     def test_fastest_repeat_is_reported(self, conv_model, monkeypatch):
@@ -73,7 +74,7 @@ class TestMeasureRtf:
             return None, dict(zip(bench.STAGES, next(scripted)))
 
         monkeypatch.setattr(bench, "run_pipeline", run)
-        s = measure_rtf(conv_model, "ctc", frontend.synth_audio(1.0, seed=0), repeats=3)
+        [s] = sweep_rtf(conv_model, "ctc", [1.0], seed=0, repeats=3).samples
         assert (s.frontend_s, s.encoder_s, s.decoder_s) == (0.1, 0.1, 0.2)
         assert s.wall_s == 0.1 + 0.1 + 0.2
 
@@ -85,18 +86,17 @@ class TestMeasureRtf:
 
     def test_unknown_decoder(self, conv_model):
         with pytest.raises(ConfigError, match="decoder"):
-            measure_rtf(conv_model, "beam", frontend.synth_audio(1.0, seed=0))
+            sweep_rtf(conv_model, "beam", [1.0], seed=0)
 
     def test_missing_head(self):
         bare = encoders.build(toy_cfg("conv_only"), seed=0)
         with pytest.raises(ConfigError, match="head"):
-            measure_rtf(bare, "ctc", frontend.synth_audio(1.0, seed=0))
+            sweep_rtf(bare, "ctc", [1.0], seed=0)
 
     def test_timed_sections_refuse_to_interleave(self, conv_model):
-        audio = frontend.synth_audio(1.0, seed=0)
         with bench._timed_section():
             with pytest.raises(RuntimeError, match="interleave"):
-                measure_rtf(conv_model, "ctc", audio, repeats=1)
+                sweep_rtf(conv_model, "ctc", [1.0], seed=0, repeats=1)
 
 
 class TestSweep:
@@ -165,10 +165,10 @@ class TestMemoryModel:
     @pytest.mark.parametrize("family", encoders.FAMILIES)
     def test_measured_within_2x_and_stable(self, family):
         cfg = toy_cfg(family)
-        model = encoders.attach_heads(encoders.build(cfg, seed=0), ("ctc",))
+        model = encoders.attach_heads(encoders.build(cfg, seed=0))
         ratios = []
         for d in (4, 8, 16):
-            s = measure_rtf(model, "ctc", frontend.synth_audio(d, seed=1), repeats=1)
+            [s] = sweep_rtf(model, "ctc", [d], seed=1, repeats=1).samples
             ratios.append(s.measured_peak_bytes / s.predicted_peak_bytes)
         assert all(0.5 <= r <= 2.0 for r in ratios), ratios
         assert max(ratios) / min(ratios) <= 1.5, ratios
@@ -357,13 +357,12 @@ class TestDivergence:
             assert r["wall_rnnt_s"] > r["wall_ctc_s"]
 
     def test_needs_both_heads(self):
-        m = encoders.attach_heads(encoders.build(toy_cfg("conv_only"), seed=1), ("ctc",))
+        m = encoders.build(toy_cfg("conv_only"), seed=1)
         with pytest.raises(ConfigError, match="both heads"):
             ctc_rnnt_divergence(m, [2], seed=0)
 
     def test_ctc_wall_below_rnnt_wall_paired(self, conv_model):
         for d in (4, 8):
-            audio = frontend.synth_audio(d, seed=2)
-            ctc = measure_rtf(conv_model, "ctc", audio)
-            rnnt = measure_rtf(conv_model, "rnnt", audio)
+            [ctc] = sweep_rtf(conv_model, "ctc", [d], seed=2).samples
+            [rnnt] = sweep_rtf(conv_model, "rnnt", [d], seed=2).samples
             assert ctc.wall_s < rnnt.wall_s, d

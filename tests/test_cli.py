@@ -40,7 +40,6 @@ class TestConfigResolution:
     def test_every_preset_builds_a_valid_config(self):
         for name in cli.PRESETS:
             rc = cli.resolve_run_config(name)
-            assert rc.preset == name
             assert rc.encoder.family in encoders.FAMILIES
 
     def test_table2_presets_land_near_target_sizes(self):
@@ -60,7 +59,6 @@ class TestConfigResolution:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         rc = cli.resolve_run_config(str(path))
-        assert rc.preset is None
         assert rc.seed == 9
         assert rc.budget_bytes == 12345
         assert rc.encoder == cli.resolve_run_config("toy-conformer").encoder
@@ -196,6 +194,24 @@ class TestTranscribe:
         assert code == 0
         assert out == "".join(texts)
         assert out.count("\n") == 3
+
+    def test_bad_manifest_file_named_after_earlier_lines(self, capsys, tmp_path):
+        # the run stops at the first bad file, with exit 2 and a message that
+        # starts with its path; the transcripts printed before it stand
+        for i in range(3):
+            frontend.write_wav(tmp_path / f"u{i}.wav", frontend.synth_audio(0.5, seed=i))
+        cut = tmp_path / "u1.wav"
+        cut.write_bytes(cut.read_bytes()[:44 + 4001])
+        (tmp_path / "m.json").write_text("".join(
+            json.dumps({"audio_filepath": f"u{i}.wav", "duration": 0.5, "text": ""}) + "\n"
+            for i in range(3)))
+        _, first, _ = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                          "--audio", str(tmp_path / "u0.wav"))
+        code, out, err = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                             "--manifest", str(tmp_path / "m.json"))
+        assert code == 2
+        assert out == first
+        assert err.startswith(f"error: {cut}: PCM data ends mid-sample: 4001 bytes")
 
     def test_samples_freed_before_encode(self, capsys, tone_wav, monkeypatch):
         samples, alive_at_encode = [], []
@@ -469,6 +485,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "score", "--ref-file", "x", "--hyp-file", "x")
         assert code == 3
         assert "LFAB_LOG" in err
+
+    def test_wav_cut_short_of_its_data_chunk_is_2(self, capsys, tmp_path):
+        path = tmp_path / "cut.wav"
+        frontend.write_wav(path, frontend.synth_audio(0.5, seed=3))
+        path.write_bytes(path.read_bytes()[:44 + 4000])
+        code, out, err = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                             "--audio", str(path))
+        assert code == 2
+        assert out == ""
+        assert "declares 8000 samples" in err and "holds 4000 bytes" in err
 
     def test_audio_shorter_than_one_window_is_2(self, capsys, tmp_path):
         path = tmp_path / "tiny.wav"

@@ -165,8 +165,7 @@ class TestCtcGreedy:
 
     def test_timing_fields(self):
         v = default_vocab()
-        hyp = ctc_greedy(logits_for_path([0, 28], 29), v, encoder_seconds=1.25)
-        assert hyp.encoder_seconds == 1.25
+        hyp = ctc_greedy(logits_for_path([0, 28], 29), v)
         assert hyp.decode_seconds >= 0.0
 
 
@@ -331,11 +330,13 @@ class TestRnntGreedy:
 
 @pytest.fixture(scope="module")
 def fastconformer_frames():
-    """24 s of synthetic audio through a seeded toy-fastconformer encoder."""
+    """24 s of synthetic audio through a seeded toy-fastconformer encoder, and
+    an RNNT head of the toy sizes drawn alone from the model's head seed."""
     cfg = cli.resolve_run_config("toy-fastconformer").encoder
-    model = encoders.attach_heads(encoders.build(cfg, seed=1), ("rnnt",))
+    model = encoders.build(cfg, seed=1)
     feats = frontend.log_mel(frontend.synth_audio(24.0, seed=13)).frames
-    return encoders.encode(model, feats).array, model.rnnt_head
+    head = make_rnnt_weights(1 + encoders._HEAD_SEED_OFFSET, d=64, e=64, h=64, j=64)
+    return encoders.encode(model, feats).array, head
 
 
 class TestRnntGreedyLongForm:

@@ -70,3 +70,31 @@ def test_spans_recorded_and_originals_restored(tracing):
     assert tracer.counts["encoders.frames_out"] == frames
     assert tracer.counts["tensor.conv1d.gflop"] > 0
     assert tracer.counts["tensor.linear_rows.gflop"] > 0
+
+
+@pytest.mark.parametrize("decoder", ["ctc", "rnnt"])
+def test_transcribe_spans_through_cli_main(tracing, tmp_path, capsys, decoder):
+    # the user path: weights file, front end, build with heads, encode, decode
+    wpath, wav = tmp_path / "w.lfwb", tmp_path / "a.wav"
+    assert cli.main(["gen-weights", "--config", "toy-quartznet2", "--seed", "1",
+                     "--out", str(wpath)]) == 0
+    frontend.write_wav(wav, frontend.synth_audio(1.0, seed=3))
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["transcribe", "--config", "toy-quartznet2", "--weights", str(wpath),
+                         "--audio", str(wav), "--decoder", decoder])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+    names = {span[0] for span in tracer.spans}
+    want = {"cli.main", "weights.read_weights_file", "encoders.build",
+            "encoders.attach_heads", "encoders.encode", "frontend.read_wav",
+            "frontend.log_mel"}
+    want |= ({"encoders.ctc_logits", "decoders.ctc_greedy"} if decoder == "ctc"
+             else {"decoders.rnnt_greedy"})
+    assert want <= names, want - names
