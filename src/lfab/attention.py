@@ -102,8 +102,9 @@ def chunk_size(cfg: AttentionConfig) -> int:
 
 
 def _split_heads(x: Tensor, h: int, dh: int) -> Tensor:
+    # a copy even at T = 1, where a view of x's buffer would outlive x
     t = x.shape[0]
-    return Tensor._wrap(np.ascontiguousarray(x.array.reshape(t, h, dh).transpose(1, 0, 2)))
+    return Tensor._wrap(x.array.reshape(t, h, dh).transpose(1, 0, 2).copy())
 
 
 def _merge_heads(ctx: Tensor) -> Tensor:
@@ -161,7 +162,7 @@ def _chunked_band(
     x: Tensor,
     w: AttentionWeights,
     cfg: AttentionConfig,
-    gt_kv: tuple[Tensor, Tensor] | None,
+    gt_kv: tuple[np.ndarray, np.ndarray] | None,
 ) -> Tensor:
     """Shared engine for lca_chunked and lca_global_token."""
     t = x.shape[0]
@@ -172,19 +173,18 @@ def _chunked_band(
     t_pad = n_chunks * cs
     win = cs + left + right
 
-    q = _split_heads(linear_rows(x, w.w_q, w.b_q), h, dh)
-    k = _split_heads(linear_rows(x, w.w_k, w.b_k), h, dh)
-    v = _split_heads(linear_rows(x, w.w_v, w.b_v), h, dh)
+    # q, k and v own the buffers read below as (T, H, dh) views
+    q = linear_rows(x, w.w_q, w.b_q)
+    k = linear_rows(x, w.w_k, w.b_k)
+    v = linear_rows(x, w.w_v, w.b_v)
 
     # (H, n_chunks, cs, dh) queries; tail queries beyond T are padding
     q_pad = np.zeros((h, n_chunks, cs, dh), dtype=np.float32)
-    q_pad.reshape(h, t_pad, dh)[:, :t] = q.array
+    q_pad.reshape(h, t_pad, dh)[:, :t] = q.array.reshape(t, h, dh).transpose(1, 0, 2)
     qc = Tensor._wrap(q_pad)
 
-    k_thd = np.ascontiguousarray(k.array.transpose(1, 0, 2))  # (T, H, dh)
-    v_thd = np.ascontiguousarray(v.array.transpose(1, 0, 2))
-    k_win = _gather_windows(k_thd, t_pad, n_chunks, cs, win, left)
-    v_win = _gather_windows(v_thd, t_pad, n_chunks, cs, win, left)
+    k_win = _gather_windows(k.array.reshape(t, h, dh), t_pad, n_chunks, cs, win, left)
+    v_win = _gather_windows(v.array.reshape(t, h, dh), t_pad, n_chunks, cs, win, left)
     kw = Tensor._wrap(np.ascontiguousarray(k_win.transpose(2, 0, 3, 1)))  # (H, n, dh, win)
     vw = Tensor._wrap(np.ascontiguousarray(v_win.transpose(2, 0, 1, 3)))  # (H, n, win, dh)
 
@@ -206,11 +206,11 @@ def _chunked_band(
         k_g, v_g = gt_kv  # each (H, dh)
         kw = Tensor._wrap(
             np.concatenate([kw.array, np.broadcast_to(
-                k_g.array[:, None, :, None], (h, n_chunks, dh, 1))], axis=3)
+                k_g[:, None, :, None], (h, n_chunks, dh, 1))], axis=3)
         )
         vw = Tensor._wrap(
             np.concatenate([vw.array, np.broadcast_to(
-                v_g.array[:, None, None, :], (h, n_chunks, 1, dh))], axis=2)
+                v_g[:, None, None, :], (h, n_chunks, 1, dh))], axis=2)
         )
         gt_col = np.broadcast_to(~pad_q[:, :, None], (n_chunks, cs, 1))
         mask = np.concatenate([mask, gt_col], axis=2)
@@ -256,9 +256,7 @@ def lca_global_token(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Te
         mask = global_token_mask(t, cfg.left_context, cfg.right_context)
         out = attend_with_mask(x_aug, w, cfg, mask)
         return Tensor._wrap(out.array[1:].copy())
-    h, dh = cfg.num_heads, cfg.head_dim
-    k_g = _split_heads(linear_rows(w.global_token, w.w_k, w.b_k), h, dh)
-    v_g = _split_heads(linear_rows(w.global_token, w.w_v, w.b_v), h, dh)
-    k_g2 = Tensor._wrap(k_g.array.reshape(h, dh))
-    v_g2 = Tensor._wrap(v_g.array.reshape(h, dh))
-    return _chunked_band(x, w, cfg, (k_g2, v_g2))
+    k_g = linear_rows(w.global_token, w.w_k, w.b_k)  # (1, D)
+    v_g = linear_rows(w.global_token, w.w_v, w.b_v)
+    hd = (cfg.num_heads, cfg.head_dim)
+    return _chunked_band(x, w, cfg, (k_g.array.reshape(hd), v_g.array.reshape(hd)))

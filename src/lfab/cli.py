@@ -234,9 +234,9 @@ def _parse_durations(text: str) -> list[float]:
     try:
         durations = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"bad duration list {text!r}") from None
-    if not durations:
-        raise ValueError(f"bad duration list {text!r}")
+        durations = []
+    if not durations or not all(map(math.isfinite, durations)):
+        raise ValueError(f"bad duration list {text!r}: need one or more finite numbers")
     return durations
 
 
@@ -256,7 +256,8 @@ def cmd_max_length(args) -> int:
     rc = resolve_run_config(args.config)
     budget = rc.budget_bytes if args.budget_bytes is None else args.budget_bytes
     seconds = bench.find_max_duration(rc.encoder, budget)
-    print(f"{seconds} {seconds / 60:.2f}")
+    q = (5 * seconds + 1) // 3  # minutes * 100 rounded as :.2f would, in integers
+    print(f"{seconds} {q // 100}.{q % 100:02d}")
     return 0
 
 

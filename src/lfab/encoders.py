@@ -557,22 +557,13 @@ def _feed_forward(x: Tensor, ff: FeedForward) -> Tensor:
 
 def _conv_module_forward(x: Tensor, cm: ConvModule) -> Tensor:
     d = x.shape[1]
-    z = tensor.conv1d(
-        tensor.transpose(x),
-        Tensor._wrap(cm.w_pw1.array.reshape(2 * d, d, 1)),
-    )  # (2D, T)
-    a = Tensor._wrap(z.array[:d].copy())
-    b = Tensor._wrap(z.array[d:].copy())
-    gated = tensor.mul(a, tensor.sigmoid(b))  # GLU
-    y = tensor.conv1d(
-        gated,
-        Tensor._wrap(cm.w_dw.array.reshape(d, 1, cm.w_dw.shape[1])),
-        groups=d,
-    )
+    z = tensor.matmul(cm.w_pw1, tensor.transpose(x))  # (2D, T)
+    # the GLU halves are views of z's rows; z stays referenced while they live
+    gated = tensor.mul(Tensor._wrap(z.array[:d]), tensor.sigmoid(Tensor._wrap(z.array[d:])))
+    y = tensor.conv1d(gated, Tensor._wrap(cm.w_dw.array.reshape(d, 1, cm.w_dw.shape[1])))
     y = tensor.batch_norm_infer(y, cm.bn.gamma, cm.bn.beta, cm.bn.mean, cm.bn.var)
     y = tensor.silu(y)
-    y = tensor.conv1d(y, Tensor._wrap(cm.w_pw2.array.reshape(d, d, 1)))
-    return tensor.transpose(y)
+    return tensor.transpose(tensor.matmul(cm.w_pw2, y))
 
 
 def _attention_forward(x: Tensor, w: AttentionWeights, cfg: EncoderConfig) -> Tensor:
@@ -609,8 +600,7 @@ def encode(model: EncoderModel, feats: Tensor) -> Tensor:
     for blk in model.conv_stack:
         x = _conv_block_forward(x, blk)
     if model.epilogue is not None:
-        w = model.epilogue
-        x = tensor.conv1d(x, Tensor._wrap(w.array.reshape(w.shape[0], w.shape[1], 1)))
+        x = tensor.matmul(model.epilogue, x)
     x = tensor.transpose(x)
     if model.config.family not in _CONFORMER_FAMILIES:
         return x

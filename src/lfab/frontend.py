@@ -87,7 +87,8 @@ def read_wav(path) -> AudioBuffer:
             n = wf.getnframes()
             raw = wf.readframes(n)
     except (wave.Error, EOFError, OSError) as exc:
-        raise AudioFormatError(f"not a readable RIFF wav file: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # the caller names the path
+        raise AudioFormatError(f"not a readable RIFF wav file: {reason}") from exc
     except RuntimeError as exc:
         # wave raises a bare RuntimeError when a chunk it skips runs past
         # the end of the RIFF chunk

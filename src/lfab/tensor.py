@@ -168,29 +168,23 @@ def _tiles(rows: int, cols: int, per: int):
                 yield r, r + 1, c0, min(c0 + per, cols)
 
 
-def conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
-    """1-D convolution over (channels, time), "same" padding, stride 1.
+def conv1d(x: Tensor, w: Tensor) -> Tensor:
+    """Depthwise 1-D convolution over (channels, time), "same" padding, stride 1.
 
-    Two shapes run, the ones the encoders use: depthwise, with groups == C
-    and w of shape (C, 1, K), and pointwise, with groups == 1 and w of shape
-    (C_out, C, 1). Any other weight or grouping is a ShapeError.
+    w is (C, 1, K), one K-tap filter per channel, as in the conformer conv
+    module; pointwise convs are matmul. Any other weight is a ShapeError
+    that names the axis.
     """
     xa = _as2d(x, "conv1d input (channels, time)")
     if w.ndim != 3:
-        raise ShapeError(f"conv1d weight must be rank 3 (out, in/groups, K), got rank {w.ndim}")
-    c_in = xa.shape[0]
-    c_out, c_in_g, k = w.shape
-    if groups == c_in and c_in_g == 1 and c_out == c_in:
-        out32 = np.empty(xa.shape, dtype=np.float32)
-        _depthwise_conv1d(xa, w._a[:, 0].astype(np.float64), 1, out32)
-        return Tensor._wrap(out32)
-    if groups == 1 and c_in_g == c_in and k == 1:
-        return Tensor._wrap(_gemm(w._a[:, :, 0], xa))
-    raise ShapeError(
-        f"conv1d runs depthwise ((C, 1, K) weight, groups = C) or pointwise "
-        f"((C_out, C, 1) weight, groups = 1); got weight {w.shape} with "
-        f"groups={groups} over {c_in} in_channels"
-    )
+        raise ShapeError(f"conv1d weight must be rank 3 (C, 1, K), got rank {w.ndim}")
+    if w.shape[0] != xa.shape[0]:
+        raise ShapeError(f"channels axis: input has {xa.shape[0]}, conv1d weight has {w.shape[0]}")
+    if w.shape[1] != 1:
+        raise ShapeError(f"conv1d runs depthwise only: weight axis 1 must be 1, got {w.shape[1]}")
+    out32 = np.empty(xa.shape, dtype=np.float32)
+    _depthwise_conv1d(xa, w._a[:, 0].astype(np.float64), 1, out32)
+    return Tensor._wrap(out32)
 
 
 def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray) -> None:

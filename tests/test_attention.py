@@ -180,6 +180,16 @@ class TestOracleMemory:
         ratio = peaks[1024] / peaks[512]
         assert 3.5 <= ratio <= 4.5, ratio
 
+    def test_heads_counted_at_one_frame(self):
+        # at T = 1 the head split of a projection is contiguous as it is; the
+        # heads must still count as buffers of their own while they are read
+        cfg, w = make()
+        for t in (1, 2):
+            x = rand_x(t, cfg.model_dim)
+            with tensor.AllocationTracker() as tr:
+                attention.mha_full(x, w, cfg)
+            assert tr.peak_bytes >= 3 * x.nbytes, t
+
 
 class TestGlobalToken:
     def test_requires_embedding(self):

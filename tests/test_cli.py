@@ -1,5 +1,6 @@
 """End-to-end command tests driven through cli.main."""
 
+import decimal
 import json
 import struct
 import weakref
@@ -213,6 +214,19 @@ class TestTranscribe:
         assert out == first
         assert err.startswith(f"error: {cut}: PCM data ends mid-sample: 4001 bytes")
 
+    def test_missing_manifest_file_named_once(self, capsys, tmp_path):
+        frontend.write_wav(tmp_path / "u0.wav", frontend.synth_audio(0.5, seed=0))
+        gone = tmp_path / "gone.wav"
+        (tmp_path / "m.json").write_text("".join(
+            json.dumps({"audio_filepath": name, "duration": 0.5, "text": ""}) + "\n"
+            for name in ("u0.wav", "gone.wav")))
+        code, out, err = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                             "--manifest", str(tmp_path / "m.json"))
+        assert code == 2
+        assert out.count("\n") == 1
+        assert err.count(str(gone)) == 1, err
+        assert err.startswith(f"error: {gone}: not a readable RIFF wav file: No such file")
+
     def test_samples_freed_before_encode(self, capsys, tone_wav, monkeypatch):
         samples, alive_at_encode = [], []
         read_wav, encode = frontend.read_wav, encoders.encode
@@ -329,11 +343,39 @@ class TestBench:
         assert code == 2
         assert "zap" in err
 
+    @pytest.mark.parametrize("durations", ["inf", "1,-inf", "nan"])
+    def test_non_finite_duration_exits_2(self, capsys, tmp_path, durations):
+        code, _, err = run(
+            capsys, "bench", "--config", "toy-quartznet2",
+            "--durations", durations, "--repeats", "1",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 2
+        assert f"bad duration list {durations!r}" in err
+
 
 class TestMaxLength:
     def parse(self, out):
         seconds, minutes = out.split()
         return int(seconds), float(minutes)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_budget_too_large_for_a_float(self, capsys, tmp_path, source):
+        budget = 10**400
+        if source == "flag":
+            argv = ["--config", "toy-quartznet2", "--budget-bytes", str(budget)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(dict(cli.PRESETS["toy-quartznet2"], budget_bytes=budget)))
+            argv = ["--config", str(path)]
+        code, out, err = run(capsys, "max-length", *argv)
+        assert code == 0, err
+        seconds, minutes = out.split()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 500
+            want = (decimal.Decimal(seconds) / 60).quantize(decimal.Decimal("0.01"))
+        assert len(seconds) > 390
+        assert minutes == str(want)
 
     def test_output_parses_as_two_numbers(self, capsys):
         code, out, _ = run(capsys, "max-length", "--config",

@@ -1,11 +1,13 @@
 """Encoder family tests: shapes, parameter formulas, residual identity, SE."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from lfab import encoders, tensor
+from lfab import encoders, frontend, tensor
 from lfab.attention import AttentionConfig
-from lfab.cli import PRESETS, resolve_run_config
+from lfab.cli import PRESETS, build_model, resolve_run_config
 from lfab.encoders import EncoderConfig
 from lfab.errors import ConfigError, ShapeError
 from lfab.tensor import Tensor
@@ -187,6 +189,46 @@ class TestConvSchedule:
         assert frames == [row[-1] for row in want]
 
 
+# (preset, seconds) -> sha256 of the encode output bytes and the Tensor peak
+# of that encode, for the seed-1 model on log_mel(synth_audio(seconds,
+# seed=3)). 2 s fits in one toy LCA chunk and 30 s spans many, so both
+# attention paths are pinned. The peak pins the buffer accounting: a view
+# used past the Tensor that owns its buffer reads as a lower peak. Taken
+# with numpy 2.4.6 on OpenBLAS 0.3.31.
+PINNED_ENCODER_OUTPUTS = {
+    ("toy-citrinet", 2): ("3b240856833ce14370d527f3777f1cfcee24e334614c65b9d867399a607a9667", 114048),
+    ("toy-citrinet", 30): ("8daa111eb077ba96df383e8540d0e3b34600f2f704afdb572e6db8b0739f66ae", 1726848),
+    ("toy-conformer", 2): ("6598cc2cfda9270ed0c8b3a2c20fbaaa14ceb55abc8e53bb6af01c85fc7fd6bb", 114048),
+    ("toy-conformer", 30): ("8699779fb803723109388b122b513b53fe8c4307a86a1e9cd041067d654e9e80", 5460000),
+    ("toy-contextnet", 2): ("4fa29b39d121bfdad6563cd36d0a37a80a71ee9d231f6e6b30a1fb46df9da537", 114048),
+    ("toy-contextnet", 30): ("a25994e2389f39d279ca4d804a93b6805aef133ab7391848598bd03d01d20513", 1726848),
+    ("toy-fastconformer", 2): ("eda6644bf66a7b522802bd268cba0335c257c9a44081223ac7bec876076c0b1c", 114048),
+    ("toy-fastconformer", 30): ("3af7c4ec6575677af1b3de5dafe4cd2c63bd5001b0c9838a0013a723059bf3e0", 2263040),
+    ("toy-fastconformer-gt", 2): ("2fd7018dcde52a50c9c964d1c8cafa634c58bfb6bf8ad14e1821e8191a2c9480", 114048),
+    ("toy-fastconformer-gt", 30): ("f340ddb81ee7db70821a4aa977ba65e429713e7874d92d0803883a7c2394c522", 2281472),
+    ("toy-quartznet2", 2): ("778981de06c0a34faa44f65ca60ce24b8468365de2da4499d2703f758fa6972c", 114048),
+    ("toy-quartznet2", 30): ("ac50b74486ee89585c0cd4e918a45f2c61efd3517d311cf9754f0679c3e6b689", 1726848),
+}
+
+
+@pytest.fixture(scope="module")
+def synth_feats():
+    return {d: frontend.log_mel(frontend.synth_audio(d, seed=3)).frames for d in (2, 30)}
+
+
+class TestPinnedEncoderOutputs:
+    def test_pins_cover_every_toy_preset(self):
+        assert {p for p, _ in PINNED_ENCODER_OUTPUTS} == {p for p in PRESETS if p.startswith("toy-")}
+
+    @pytest.mark.parametrize("preset, seconds", sorted(PINNED_ENCODER_OUTPUTS))
+    def test_output_hash_and_peak(self, preset, seconds, synth_feats):
+        model = build_model(resolve_run_config(preset), seed=1)
+        with tensor.AllocationTracker() as tracker:
+            out = encoders.encode(model, synth_feats[seconds])
+        digest = hashlib.sha256(out.array.tobytes()).hexdigest()
+        assert (digest, tracker.peak_bytes) == PINNED_ENCODER_OUTPUTS[preset, seconds]
+
+
 class TestDeterminismAndBounds:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_same_seed_bitwise_identical(self, family):
@@ -349,3 +391,14 @@ class TestConformerVariants:
         b = encoders.encode(plain, x)
         assert a.shape == b.shape
         assert np.abs(a.array - b.array).max() > 1e-4
+
+    def test_conv_module_peak_counts_the_glu_input(self):
+        # the GLU reads views of the (2D, T) pointwise output, which stays
+        # counted until the module returns: with the GLU output, the depthwise
+        # output, the second pointwise output and its transpose, 6 times the
+        # input's bytes. A view kept past its owner would read 4.
+        m = encoders.build(toy_cfg("conformer_full", num_blocks=1), seed=0)
+        x = Tensor(np.random.default_rng(0).standard_normal((100, 64)).astype(np.float32))
+        with tensor.AllocationTracker() as tr:
+            encoders._conv_module_forward(x, m.blocks[0].conv)
+        assert tr.peak_bytes == 6 * x.nbytes

@@ -74,20 +74,20 @@ def depthwise(x, w, stride):
     """Depthwise "same" conv of float32 x by a (C, 1, K) weight: conv1d at
     stride 1; at stride 2 the kernel the separable conv runs."""
     if stride == 1:
-        return tensor.conv1d(Tensor(x), Tensor(w), groups=w.shape[0]).array
+        return tensor.conv1d(Tensor(x), Tensor(w)).array
     out = np.empty((x.shape[0], (x.shape[1] - 1) // stride + 1), dtype=np.float32)
     tensor._depthwise_conv1d(x, w[:, 0].astype(np.float64), stride, out)
     return out
 
 
 def assert_conv_bits(x, w, stride=1):
-    """A depthwise (C, 1, K) or pointwise (C_out, C, 1) weight against the
-    reference loop, byte for byte."""
+    """A depthwise (C, 1, K) weight, or a pointwise (C_out, C, 1) weight run
+    as matmul, against the reference loop, byte for byte."""
     if w.shape[1] == 1 and w.shape[0] == x.shape[0]:
         got = depthwise(x, w, stride)
         want = conv1d_reference(x, w, stride=stride, groups=x.shape[0])
     else:
-        got = tensor.conv1d(Tensor(x), Tensor(w)).array
+        got = tensor.matmul(Tensor(w[:, :, 0]), Tensor(x)).array
         want = conv1d_reference(x, w)
     assert got.tobytes() == want.tobytes()
 
@@ -141,7 +141,7 @@ def tile_kinds(calls):
 
 
 class TestConv1dBitExact:
-    """Fast conv1d paths against the padded reference loop, byte for byte."""
+    """Fast conv paths against the padded reference loop, byte for byte."""
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -220,13 +220,13 @@ class TestConv1d:
                 stride = int(rng.choice([1, 2]))
                 want = conv1d_oracle(x, w, stride, groups=c_in)
                 if stride == 1:
-                    got = tensor.conv1d(Tensor(x), Tensor(w), groups=c_in).array
+                    got = tensor.conv1d(Tensor(x), Tensor(w)).array
                 else:
                     got = depthwise(x.astype(np.float32), w.astype(np.float32), stride)
-            else:  # pointwise
+            else:  # pointwise, which runs as matmul
                 w = rng.standard_normal((int(rng.integers(1, 9)), c_in, 1))
                 want = conv1d_oracle(x, w)
-                got = tensor.conv1d(Tensor(x), Tensor(w)).array
+                got = tensor.matmul(Tensor(w[:, :, 0]), Tensor(x)).array
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-5)
 
     @pytest.mark.parametrize("k", range(1, 10))
@@ -239,7 +239,7 @@ class TestConv1d:
         for t in range(1, 33):
             x = Tensor(np.ones((2, t)))
             if stride == 1:
-                out = tensor.conv1d(x, Tensor(np.ones((2, 1, k))), groups=2)
+                out = tensor.conv1d(x, Tensor(np.ones((2, 1, k))))
             else:
                 out = tensor.depthwise_separable_conv1d(
                     x, Tensor(np.ones((2, k))), Tensor(np.ones((3, 2))), stride=stride)
@@ -261,46 +261,34 @@ class TestConv1d:
         out = tensor.conv1d(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.array[0], [2.0, 1.0, 0, 0, 0, 0])
 
-    def test_k1_equals_matmul_over_channels(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((6, 11))
-        w = rng.standard_normal((4, 6))
-        got = tensor.conv1d(Tensor(x), Tensor(w.reshape(4, 6, 1)))
-        want = tensor.matmul(Tensor(w), Tensor(x))
-        np.testing.assert_array_equal(got.array, want.array)
-
     def test_dimension_errors_name_the_axis(self):
         x = Tensor(np.ones((5, 8)))
         with pytest.raises(ShapeError, match="rank 3"):
             tensor.conv1d(x, Tensor(np.ones((5, 3))))
         with pytest.raises(ShapeError, match="rank 2"):
             tensor.conv1d(Tensor(np.ones(8)), Tensor(np.ones((5, 1, 3))))
-        with pytest.raises(ShapeError, match="5 in_channels"):
-            tensor.conv1d(x, Tensor(np.ones((4, 3, 1))))
-        with pytest.raises(ShapeError, match="5 in_channels"):
-            tensor.conv1d(x, Tensor(np.ones((4, 1, 3))), groups=4)
+        for w in ((4, 1, 3), (8, 1, 3), (6, 4, 3)):
+            with pytest.raises(ShapeError, match="channels axis: input has 5"):
+                tensor.conv1d(x, Tensor(np.ones(w)))
 
     def test_dense_and_grouped_weights_rejected(self):
-        # only the depthwise and pointwise shapes run; a dense or grouped
-        # kernel is refused, not computed by a slower path
+        # only the depthwise shape runs; a dense, grouped or pointwise kernel
+        # is refused, not computed by a slower path
         x = Tensor(np.ones((4, 10)))
-        for w, groups in (((6, 4, 3), 1), ((4, 4, 3), 1), ((4, 2, 3), 2),
-                          ((8, 1, 3), 4), ((4, 1, 1), 1), ((4, 4, 1), 4)):
-            with pytest.raises(ShapeError, match="depthwise .* or pointwise"):
-                tensor.conv1d(x, Tensor(np.ones(w)), groups=groups)
+        for w in ((4, 4, 3), (4, 2, 3), (4, 4, 1)):
+            with pytest.raises(ShapeError, match="depthwise only: weight axis 1"):
+                tensor.conv1d(x, Tensor(np.ones(w)))
 
     def test_purity_and_repeatability(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 20)).astype(np.float32)
-        xt = Tensor(x)
-        for w, groups in ((rng.standard_normal((3, 1, 7)), 3), (rng.standard_normal((5, 3, 1)), 1)):
-            w = w.astype(np.float32)
-            wt = Tensor(w)
-            a = tensor.conv1d(xt, wt, groups=groups)
-            b = tensor.conv1d(xt, wt, groups=groups)
-            np.testing.assert_array_equal(a.array, b.array)
-            np.testing.assert_array_equal(xt.array, x)
-            np.testing.assert_array_equal(wt.array, w)
+        w = rng.standard_normal((3, 1, 7)).astype(np.float32)
+        xt, wt = Tensor(x), Tensor(w)
+        a = tensor.conv1d(xt, wt)
+        b = tensor.conv1d(xt, wt)
+        np.testing.assert_array_equal(a.array, b.array)
+        np.testing.assert_array_equal(xt.array, x)
+        np.testing.assert_array_equal(wt.array, w)
 
 
 class TestSeparableConv:
@@ -537,7 +525,7 @@ class TestTiledScratchBound:
         feat = [Tensor(np.ones(c, dtype=np.float32)), Tensor(np.zeros(c, dtype=np.float32))]
         bound = 6 * tensor.TILE_BYTES
         for name, fn, args in (
-            ("conv1d", lambda a, w: tensor.conv1d(a, w, groups=c), (x, w_dw)),
+            ("conv1d", tensor.conv1d, (x, w_dw)),
             ("batch_norm_infer", tensor.batch_norm_infer, (x, *chan)),
             ("layer_norm", tensor.layer_norm, (x_rows, *feat)),
             ("sigmoid", tensor.sigmoid, (x,)),

@@ -70,6 +70,10 @@ def test_spans_recorded_and_originals_restored(tracing):
     assert tracer.counts["encoders.frames_out"] == frames
     assert tracer.counts["tensor.conv1d.gflop"] > 0
     assert tracer.counts["tensor.linear_rows.gflop"] > 0
+    # the pointwise convs count under tensor.linear_rows, as matmul; no
+    # product drops out of the two FLOP counters together
+    total = tracer.counts["tensor.conv1d.gflop"] + tracer.counts["tensor.linear_rows.gflop"]
+    assert total == pytest.approx(0.020198912, rel=1e-12)
 
 
 @pytest.mark.parametrize("decoder", ["ctc", "rnnt"])
