@@ -101,10 +101,16 @@ def chunk_size(cfg: AttentionConfig) -> int:
     return ((span + 7) // 8) * 8
 
 
-def _split_heads(x: Tensor, h: int, dh: int) -> Tensor:
-    # a copy even at T = 1, where a view of x's buffer would outlive x
+def fits_one_chunk(cfg: AttentionConfig, t: int) -> bool:
+    """Whether T positions and the global token, if any, fit in one chunk."""
+    return t + cfg.use_global_token <= chunk_size(cfg)
+
+
+def _split_heads(x: Tensor, h: int, dh: int, axes=(1, 0, 2)) -> Tensor:
+    # (H, T, dh) by default; a copy even at T = 1, where a view of x's buffer
+    # would outlive x
     t = x.shape[0]
-    return Tensor._wrap(x.array.reshape(t, h, dh).transpose(1, 0, 2).copy())
+    return Tensor._wrap(x.array.reshape(t, h, dh).transpose(axes).copy())
 
 
 def _merge_heads(ctx: Tensor) -> Tensor:
@@ -120,12 +126,10 @@ def attend_with_mask(
         raise ShapeError(
             f"attention input must be (T, {cfg.model_dim}), got {x.shape}"
         )
-    t = x.shape[0]
     h, dh = cfg.num_heads, cfg.head_dim
     q = _split_heads(linear_rows(x, w.w_q, w.b_q), h, dh)
-    k = _split_heads(linear_rows(x, w.w_k, w.b_k), h, dh)
+    kt = _split_heads(linear_rows(x, w.w_k, w.b_k), h, dh, (1, 2, 0))  # (H, dh, T)
     v = _split_heads(linear_rows(x, w.w_v, w.b_v), h, dh)
-    kt = Tensor._wrap(np.ascontiguousarray(k.array.transpose(0, 2, 1)))
     scores = batched_matmul(q, kt, scale=1.0 / math.sqrt(dh))  # (H, T, T)
     probs = softmax_rows(scores, None if mask is None else mask[None, :, :])
     ctx = batched_matmul(probs, v)  # (H, T, dh)
@@ -232,7 +236,7 @@ def lca_chunked(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:
     buys nothing there and the dense band code is exact by construction.
     """
     validate_weights(cfg, w)
-    if x.shape[0] <= chunk_size(cfg):
+    if fits_one_chunk(cfg, x.shape[0]):
         return attend_with_mask(
             x, w, cfg, band_mask(x.shape[0], cfg.left_context, cfg.right_context)
         )
@@ -251,7 +255,7 @@ def lca_global_token(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Te
     if not cfg.use_global_token or w.global_token is None:
         raise ConfigError("lca_global_token requires use_global_token and an embedding")
     t = x.shape[0]
-    if t + 1 <= chunk_size(cfg):
+    if fits_one_chunk(cfg, t):
         x_aug = Tensor._wrap(np.concatenate([w.global_token.array, x.array], axis=0))
         mask = global_token_mask(t, cfg.left_context, cfg.right_context)
         out = attend_with_mask(x_aug, w, cfg, mask)

@@ -1,11 +1,11 @@
 """RTF measurement, analytic peak-memory model, and decoder cost divergence.
 
 The memory model predicts the peak number of live activation bytes during a
-transcription pass by walking the same layer sequence the forwards execute
-and summing, per phase, the float32 buffers that coexist there (weights are
-excluded: they are duration-independent). The prediction is the maximum over
-phases plus the persistent feature matrix. Decoder state is excluded; it is
-a handful of vectors regardless of duration.
+transcription pass. One walk over encoders.conv_schedule, the SE epilogue or
+the conformer body, and the logits keeps the largest count of float32
+elements live at any step; the feature matrix is added on top. Weights
+(duration-independent) and decoder state (a few vectors) are excluded.
+Attention takes the path attention.fits_one_chunk picks for the forward pass.
 
 Timing uses a monotonic clock and keeps the fastest of 3 repeats: on a shared
 machine noise only adds time, and a slow stretch can cover two of three
@@ -21,10 +21,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import decoders, encoders, frontend, tensor
+from .attention import chunk_size, fits_one_chunk
 from .encoders import (
     CONFORMER_FULL,
-    CONFORMER_LCA_GT,
-    CONV_ONLY,
     CONV_SE,
     CONV_SE_CITRINET,
     FEATURE_DIM,
@@ -94,98 +93,46 @@ class BenchReport:
 # analytic memory model
 
 
-def _half(t: int) -> int:
-    # stride-2 "same" output length for any odd kernel
-    return (t - 1) // 2 + 1
-
-
-def _conv_chain(widths_strides, t: int, c_in: int):
-    """Phase element counts for a channels-first separable conv chain.
-
-    Per block the worst coexisting sets are (input, depthwise out, pointwise
-    out) and (input, two successive c_out buffers from norm/act/gate/residual
-    rebinding).
-    """
-    phases = []
-    x = c_in * t
-    for c_out, stride in widths_strides:
-        t_out = _half(t) if stride == 2 else t
-        phases.append(x + c_in * t_out + c_out * t_out)
-        phases.append(x + 2 * c_out * t_out)
-        x = c_out * t_out
-        c_in, t = c_out, t_out
-    return phases, x, t
-
-
 def _attention_phase(cfg: EncoderConfig, t: int) -> int:
     """Live elements during one attention sublayer at T' = t."""
     att = cfg.attention
-    d = cfg.model_dim
-    h, dh = att.num_heads, att.head_dim
-    from .attention import chunk_size
-
+    d, h, dh = cfg.model_dim, att.num_heads, att.head_dim
+    if cfg.family == CONFORMER_FULL or fits_one_chunk(att, t):
+        t_att = t + att.use_global_token  # the dense path prepends the token
+        return 10 * t * d + 2 * h * t_att * t_att
     cs = chunk_size(att)
-    dense_t = None
-    if cfg.family == CONFORMER_FULL:
-        dense_t = t
-    elif cfg.family == CONFORMER_LCA_GT:
-        if t + 1 <= cs:
-            dense_t = t + 1
-    elif t <= cs:  # chunked path delegates to the dense band oracle
-        dense_t = t
-    if dense_t is not None:
-        return 10 * t * d + 2 * h * dense_t * dense_t
     n = -(-t // cs)
-    t_pad = n * cs
     win = cs + att.left_context + att.right_context
-    slots = win + (1 if cfg.family == CONFORMER_LCA_GT else 0)
-    return (
-        8 * t * d
-        + 2 * t_pad * d  # padded queries + context
-        + 2 * h * n * win * dh  # gathered key/value windows
-        + 2 * h * n * cs * slots  # scores + probabilities
-    )
-
-
-def _conformer_phases(cfg: EncoderConfig, phases: list, x: int, t: int) -> int:
-    """Append the phases after the subsampling, which leaves x elements over
-    T' = t; return the encoder output elements."""
-    d, ff = cfg.model_dim, cfg.ff_expansion * cfg.model_dim
-    phases.append(2 * x)  # transpose to time-major
-    phases.append(x + t * d)  # projection
-    x = t * d
-    phases.append(3 * x)  # position encoding add
-    ff_phase = t * (ff + 5 * d)
-    conv_phase = 14 * t * d
-    att_phase = _attention_phase(cfg, t)
-    phases.append(max(ff_phase, att_phase, conv_phase))
-    phases.append(2 * x)  # final layer norm
-    return x
-
-
-def model_phases(cfg: EncoderConfig, t_frames: int):
-    """(phase element counts, encoder output elements, T') for one pass."""
-    if t_frames < 1:
-        raise ValueError(f"t_frames must be >= 1, got {t_frames}")
-    chain = [(s.c_out, s.stride) for s in encoders.conv_schedule(cfg)]
-    phases, x, t = _conv_chain(chain, t_frames, FEATURE_DIM)
-    if cfg.family == CONV_ONLY:
-        phases.append(2 * x)  # transpose out
-    elif cfg.family in (CONV_SE, CONV_SE_CITRINET):
-        phases.append(x + t * cfg.model_dim)  # pointwise epilogue
-        x = t * cfg.model_dim
-        phases.append(2 * x)  # transpose out
-    else:
-        x = _conformer_phases(cfg, phases, x, t)
-    # decode: encoder output stays live next to the logits
-    phases.append(x + t * (decoders.default_vocab().size + 1))
-    return phases, x, t
+    # projections, padded queries + context, key/value windows, scores + probabilities
+    return (8 * t * d + 2 * n * cs * d + 2 * h * n * win * dh
+            + 2 * h * n * cs * (win + att.use_global_token))
 
 
 def predict_peak_bytes(cfg: EncoderConfig, t_frames: int) -> int:
     """Predicted peak live activation bytes for a pass over t_frames features."""
-    phases, _, _ = model_phases(cfg, t_frames)
-    return BYTES_PER_ELEMENT * (t_frames * FEATURE_DIM + max(phases))
+    if t_frames < 1:
+        raise ValueError(f"t_frames must be >= 1, got {t_frames}")
+    t, x, peak = t_frames, t_frames * FEATURE_DIM, 0  # x: live input elements
+    for s in encoders.conv_schedule(cfg):
+        t_out = (t - 1) // s.stride + 1
+        # (input, depthwise out, pointwise out) or (input, two c_out buffers
+        # from norm/act/gate/residual rebinding)
+        peak = max(peak, x + t_out * (max(s.c_in, s.c_out) + s.c_out))
+        x, t = s.c_out * t_out, t_out
+    d = cfg.model_dim
+    if cfg.family in (CONV_SE, CONV_SE_CITRINET):
+        peak = max(peak, x + t * d)  # pointwise epilogue
+        x = t * d
+    peak = max(peak, 2 * x)  # transpose to time-major
+    if cfg.attention is not None:
+        # projection, then the feed-forward, attention and conv module
+        # sublayers; the position add (3·t·d) and final norm (2·t·d) hold less
+        peak = max(peak, x + t * d, t * (cfg.ff_expansion + 5) * d,
+                   _attention_phase(cfg, t), 14 * t * d)
+        x = t * d
+    # decode: encoder output stays live next to the logits
+    peak = max(peak, x + t * (decoders.default_vocab().size + 1))
+    return BYTES_PER_ELEMENT * (t_frames * FEATURE_DIM + peak)
 
 
 # ---------------------------------------------------------------------------

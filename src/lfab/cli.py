@@ -27,6 +27,8 @@ from .weights import atomic_write, read_weights_file, write_weights_file
 log = logging.getLogger("lfab")
 
 DEFAULT_BUDGET_BYTES = 48 * 2**30
+# longest bench duration, one hour: synthesising it peaks near 3 GB
+MAX_BENCH_SECONDS = 3600.0
 
 # Presets come in two scales: "toy-*" for fast local runs and tests,
 # "table2-*" sized so parameter counts land near 120/140/120/114 M.
@@ -82,6 +84,8 @@ _ENCODER_KEYS = ("model_dim", "num_blocks", "channels", "alpha", "kernel_size",
 _INT_MINIMUM = {"heads": 1, "head_dim": 1, "left_context": 0, "right_context": 0,
                 "model_dim": 1, "num_blocks": 1, "channels": 1, "kernel_size": 1,
                 "se_reduction": 1, "ff_expansion": 1}
+# and the most, where a larger value would run for hours instead of failing
+_INT_MAXIMUM = {"num_blocks": 1024}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,16 +97,17 @@ class RunConfig:
     budget_bytes: int = DEFAULT_BUDGET_BYTES
 
 
-def _check_int(key: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+def _check_int(key: str, value, minimum: int, maximum: float = math.inf) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        bound = f"in [{minimum}, {maximum}]" if maximum < math.inf else f">= {minimum}"
+        raise ConfigError(f"{key} must be an integer {bound}, got {value!r}")
 
 
 def encoder_config_from_dict(raw: dict) -> EncoderConfig:
     d = dict(raw)
     for key, minimum in _INT_MINIMUM.items():
         if key in d and not (key == "kernel_size" and d[key] is None):
-            _check_int(key, d[key], minimum)
+            _check_int(key, d[key], minimum, _INT_MAXIMUM.get(key, math.inf))
     alpha = d.get("alpha", 1.0)
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < math.inf:
         raise ConfigError(f"alpha must be a positive finite number, got {alpha!r}")
@@ -237,6 +242,8 @@ def _parse_durations(text: str) -> list[float]:
         durations = []
     if not durations or not all(map(math.isfinite, durations)):
         raise ValueError(f"bad duration list {text!r}: need one or more finite numbers")
+    if max(durations) > MAX_BENCH_SECONDS:
+        raise ValueError(f"duration {max(durations):g} s is over the {MAX_BENCH_SECONDS:g} s bound")
     return durations
 
 
@@ -320,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p)
     p.add_argument("--weights")
     p.add_argument("--durations", required=True,
-                   help="comma-separated seconds, ascending (e.g. 30,60)")
+                   help="comma-separated seconds, ascending (e.g. 30,60), "
+                        f"each at most {MAX_BENCH_SECONDS:g}")
     p.add_argument("--decoder", choices=("ctc", "rnnt"), default="ctc")
     p.add_argument("--repeats", type=int, default=bench.DEFAULT_REPEATS)
     p.add_argument("--out", required=True, help="CSV output path")

@@ -8,7 +8,7 @@ import pytest
 from lfab import attention, tensor
 from lfab.attention import AttentionConfig
 from lfab.errors import ConfigError
-from lfab.tensor import Tensor
+from lfab.tensor import Tensor, linear_rows
 
 
 def init_attention_weights(cfg, rng):
@@ -165,6 +165,31 @@ class TestChunked:
             peaks[t] = tr.peak_bytes
         ratio = peaks[2080] / peaks[1040]
         assert 1.8 <= ratio <= 2.2, ratio
+
+
+class TestOneChunkFallback:
+    """Inputs that fit one chunk run the dense band code only because it is
+    faster: the chunked engine gives the same bytes on every one of them."""
+
+    @pytest.mark.parametrize("left,right,gt", [
+        (0, 0, False), (3, 4, False), (9, 6, False), (0, 0, True), (3, 4, True), (9, 6, True),
+    ])
+    def test_chunked_band_matches_dense_fallback(self, left, right, gt):
+        cfg, w = make(num_heads=2, head_dim=8, left=left, right=right, gt=gt, seed=left + 5)
+        last = attention.chunk_size(cfg) - gt  # the longest input that fits
+        assert attention.fits_one_chunk(cfg, last)
+        assert not attention.fits_one_chunk(cfg, last + 1)
+        gt_kv = None
+        if gt:
+            hd = (cfg.num_heads, cfg.head_dim)
+            gt_kv = tuple(linear_rows(w.global_token, wt, b).array.reshape(hd)
+                          for wt, b in ((w.w_k, w.b_k), (w.w_v, w.b_v)))
+        path = attention.lca_global_token if gt else attention.lca_chunked
+        for t in range(1, last + 1):
+            x = rand_x(t, cfg.model_dim, seed=t)
+            dense = path(x, w, cfg).array
+            chunked = attention._chunked_band(x, w, cfg, gt_kv).array
+            assert dense.tobytes() == chunked.tobytes(), t
 
 
 class TestOracleMemory:

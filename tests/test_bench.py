@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfab import bench, cli, decoders, encoders, frontend, tensor
+from lfab import attention, bench, cli, decoders, encoders, frontend, tensor
 from lfab.attention import AttentionConfig
 from lfab.bench import (
     CSV_HEADER,
@@ -18,7 +18,7 @@ from lfab.bench import (
     run_pipeline,
     sweep_rtf,
 )
-from lfab.encoders import EncoderConfig
+from lfab.encoders import FEATURE_DIM, EncoderConfig
 from lfab.errors import ConfigError
 from lfab.tensor import Tensor
 
@@ -302,6 +302,93 @@ class TestFullScaleOrdering:
         d = {k: find_max_duration(cfg, budget) for k, cfg in full_scale_presets().items()}
         assert d["conv_only"] > d["conformer_lca"] > d["conv_se"] > d["conformer_full"]
         assert d["conv_se"] >= 10 * d["conformer_full"]
+
+
+# The phase walk predict_peak_bytes replaced, kept as written: the walk must
+# match it on every config, not only on the pinned presets.
+def _reference_peak_bytes(cfg, t_frames):
+    def half(t):
+        return (t - 1) // 2 + 1
+
+    phases, x, t, c_in = [], FEATURE_DIM * t_frames, t_frames, FEATURE_DIM
+    for s in encoders.conv_schedule(cfg):
+        t_out = half(t) if s.stride == 2 else t
+        phases.append(x + c_in * t_out + s.c_out * t_out)
+        phases.append(x + 2 * s.c_out * t_out)
+        x, c_in, t = s.c_out * t_out, s.c_out, t_out
+    d = cfg.model_dim
+    if cfg.family == "conv_only":
+        phases.append(2 * x)
+    elif cfg.family in ("conv_se", "conv_se_citrinet"):
+        phases.append(x + t * d)
+        x = t * d
+        phases.append(2 * x)
+    else:
+        att = cfg.attention
+        h, dh = att.num_heads, att.head_dim
+        cs = attention.chunk_size(att)
+        dense_t = None
+        if cfg.family == "conformer_full":
+            dense_t = t
+        elif cfg.family == "conformer_lca_gt":
+            if t + 1 <= cs:
+                dense_t = t + 1
+        elif t <= cs:
+            dense_t = t
+        if dense_t is not None:
+            att_phase = 10 * t * d + 2 * h * dense_t * dense_t
+        else:
+            n = -(-t // cs)
+            win = cs + att.left_context + att.right_context
+            slots = win + (1 if cfg.family == "conformer_lca_gt" else 0)
+            att_phase = (8 * t * d + 2 * n * cs * d + 2 * h * n * win * dh
+                         + 2 * h * n * cs * slots)
+        phases += [2 * x, x + t * d]
+        x = t * d
+        phases.append(3 * x)
+        phases.append(max(t * (cfg.ff_expansion * d + 5 * d), att_phase, 14 * t * d))
+        phases.append(2 * x)
+    phases.append(x + t * (decoders.default_vocab().size + 1))
+    return 4 * (t_frames * FEATURE_DIM + max(phases))
+
+
+def _random_config(rng):
+    family = encoders.FAMILIES[int(rng.integers(len(encoders.FAMILIES)))]
+    channels = int(rng.integers(1, 300))
+    if family == "conv_only":
+        return EncoderConfig(family=family, model_dim=channels, channels=channels,
+                             num_blocks=int(rng.integers(1, 12)))
+    if family in ("conv_se", "conv_se_citrinet"):
+        blocks = 4 * int(rng.integers(1, 5))
+        kernels = None
+        if family == "conv_se_citrinet":
+            kernels = tuple(int(k) for k in 2 * rng.integers(0, 12, size=blocks) + 1)
+        return EncoderConfig(family=family, model_dim=int(rng.integers(1, 600)),
+                             channels=channels, num_blocks=blocks,
+                             alpha=float(rng.uniform(0.05, 3.0)), kernel_sizes=kernels,
+                             se_reduction=int(rng.integers(1, 16)))
+    att = AttentionConfig(int(rng.integers(1, 9)), int(rng.integers(1, 65)),
+                          int(rng.integers(0, 200)), int(rng.integers(0, 200)),
+                          use_global_token=family == "conformer_lca_gt")
+    return EncoderConfig(family=family, model_dim=att.model_dim, channels=channels,
+                         num_blocks=int(rng.integers(1, 5)), attention=att,
+                         ff_expansion=int(rng.integers(1, 5)))
+
+
+class TestMemoryModelReference:
+    def test_random_configs_match_the_phase_walk(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(600):
+            cfg = _random_config(rng)
+            seen.add(cfg.family)
+            lengths = [1, 2, 7, 8, 9] + [int(t) for t in rng.integers(10, 20000, size=8)]
+            if cfg.attention is not None:  # T' on either side of one chunk
+                cs = attention.chunk_size(cfg.attention)
+                lengths += [8 * t for t in (cs - 1, cs, cs + 1)]
+            for t in lengths:
+                assert predict_peak_bytes(cfg, t) == _reference_peak_bytes(cfg, t), (cfg, t)
+        assert seen == set(encoders.FAMILIES)
 
 
 class TestDivergence:

@@ -353,6 +353,17 @@ class TestBench:
         assert code == 2
         assert f"bad duration list {durations!r}" in err
 
+    def test_duration_over_the_bound_exits_2(self, capsys, tmp_path):
+        # exit 5 before the bound: numpy could not allocate 114 PiB of samples
+        code, _, err = run(
+            capsys, "bench", "--config", "toy-quartznet2",
+            "--durations", "1,1e12", "--repeats", "1",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 2
+        assert "duration 1e+12 s is over" in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestMaxLength:
     def parse(self, out):
@@ -376,6 +387,15 @@ class TestMaxLength:
             want = (decimal.Decimal(seconds) / 60).quantize(decimal.Decimal("0.01"))
         assert len(seconds) > 390
         assert minutes == str(want)
+
+    @pytest.mark.parametrize("num_blocks", [1025, 10**400])
+    def test_num_blocks_over_the_cap_exits_3(self, capsys, tmp_path, num_blocks):
+        # without the cap, 10**400 blocks never finished building the schedule
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cli.PRESETS["toy-quartznet2"], num_blocks=num_blocks)))
+        code, out, err = run(capsys, "max-length", "--config", str(path))
+        assert code == 3, err
+        assert "num_blocks must be an integer in [1, 1024]" in err and out == ""
 
     def test_output_parses_as_two_numbers(self, capsys):
         code, out, _ = run(capsys, "max-length", "--config",

@@ -199,7 +199,7 @@ PINNED_ENCODER_OUTPUTS = {
     ("toy-citrinet", 2): ("3b240856833ce14370d527f3777f1cfcee24e334614c65b9d867399a607a9667", 114048),
     ("toy-citrinet", 30): ("8daa111eb077ba96df383e8540d0e3b34600f2f704afdb572e6db8b0739f66ae", 1726848),
     ("toy-conformer", 2): ("6598cc2cfda9270ed0c8b3a2c20fbaaa14ceb55abc8e53bb6af01c85fc7fd6bb", 114048),
-    ("toy-conformer", 30): ("8699779fb803723109388b122b513b53fe8c4307a86a1e9cd041067d654e9e80", 5460000),
+    ("toy-conformer", 30): ("8699779fb803723109388b122b513b53fe8c4307a86a1e9cd041067d654e9e80", 5364000),
     ("toy-contextnet", 2): ("4fa29b39d121bfdad6563cd36d0a37a80a71ee9d231f6e6b30a1fb46df9da537", 114048),
     ("toy-contextnet", 30): ("a25994e2389f39d279ca4d804a93b6805aef133ab7391848598bd03d01d20513", 1726848),
     ("toy-fastconformer", 2): ("eda6644bf66a7b522802bd268cba0335c257c9a44081223ac7bec876076c0b1c", 114048),
