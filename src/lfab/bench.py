@@ -246,9 +246,12 @@ def _frames_for_seconds(seconds: int) -> int:
 
 
 def find_max_duration(cfg: EncoderConfig, budget_bytes: int) -> int:
-    """Largest whole-second duration whose predicted peak fits the budget."""
+    """Largest whole-second duration whose predicted peak fits the budget.
+
+    A budget that cannot hold one second of the model is a ConfigError.
+    """
     if predict_peak_bytes(cfg, _frames_for_seconds(1)) > budget_bytes:
-        raise ValueError(
+        raise ConfigError(
             f"budget too small: {budget_bytes} bytes cannot fit one second"
         )
     hi = 1

@@ -153,7 +153,7 @@ def resolve_run_config(name_or_path: str) -> RunConfig:
         with open(name_or_path, encoding="utf-8") as f:
             try:
                 raw = json.load(f)
-            except json.JSONDecodeError as e:
+            except (UnicodeDecodeError, json.JSONDecodeError) as e:
                 raise ConfigError(f"config file {name_or_path!r}: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {name_or_path!r} must hold a JSON object")
@@ -165,7 +165,16 @@ def resolve_run_config(name_or_path: str) -> RunConfig:
 
 
 def build_model(rc: RunConfig, seed: int, weights_path=None) -> EncoderModel:
-    """Build encoder plus both heads, seeded or loaded from a weights file."""
+    """Build encoder plus both heads, seeded or loaded from a weights file.
+
+    An encoder whose float32 weights alone exceed physical memory is a
+    ConfigError, raised before any weight is read or drawn.
+    """
+    n = encoders.expected_parameter_count(rc.encoder)
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 4 * n > ram:
+        raise ConfigError(f"the encoder's {n} parameters need {4 * n} bytes as float32, "
+                          f"more than the {ram} bytes of physical memory")
     source = read_weights_file(weights_path) if weights_path else None
     model = encoders.build(rc.encoder, seed, source)
     encoders.attach_heads(model, source=source)

@@ -83,6 +83,11 @@ class EncoderConfig:
                 )
             if self.alpha <= 0:
                 raise ConfigError(f"alpha must be positive, got {self.alpha}")
+            try:
+                self.conv_se_widths()
+            except OverflowError:
+                raise ConfigError(f"channels {self.channels} times alpha {self.alpha} "
+                                  "is too large for a width") from None
         if self.family == CONV_SE_CITRINET:
             if self.kernel_sizes is None:
                 raise ConfigError("citrinet requires an explicit per-block kernel list")

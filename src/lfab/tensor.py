@@ -11,7 +11,8 @@ Design rules, enforced here so every higher layer inherits them:
 - the depthwise conv, the norms, the sigmoid and the time mean work on
   tiles of TILE_BYTES of float64 scratch, reused across the call: blocks of
   whole rows, or segments of one row when a row is longer than a tile, so
-  no kernel builds a full-size float64 temporary;
+  no kernel builds a full-size float64 temporary; the dense products cast
+  their weight to float64 in blocks of whole rows of _GEMM_BLOCK_BYTES;
 - signed zeros: a float64 sum that starts at +0.0 is never -0.0, so adding a
   signed zero leaves it unchanged (the depthwise conv's zero-padded taps
   add w * 0.0 = ±0.0), and a sum that starts at its first term instead
@@ -153,6 +154,11 @@ def _as2d(x: Tensor, name: str) -> np.ndarray:
 # a core's L2 cache
 TILE_BYTES = 2**18
 
+# bytes of each float64 row block of a weight in the dense products: large
+# enough to keep each BLAS call at full speed, far below the 171 MiB cast of
+# a whole (4736, 4736) weight
+_GEMM_BLOCK_BYTES = 2**24
+
 
 def _tiles(rows: int, cols: int, per: int):
     """(r0, r1, c0, c1) tiles of a (rows, cols) array, per elements at most:
@@ -254,19 +260,45 @@ def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray) -> None:
             out[r0:r1, j0:j1] = r
 
 
+def _row_blocks(m: int, k: int):
+    """(r0, r1) blocks of whole rows of an (M, K) weight, each at most
+    _GEMM_BLOCK_BYTES as float64, or one row when a row is longer.
+
+    Each output element of a dense product is the dot of one weight row
+    with one input column. OpenBLAS 0.3.31 sums it the same way whichever
+    rows share its call, so the blocks give the whole product's bits; the
+    tensor tests check this against the whole product.
+    """
+    step = max(1, _GEMM_BLOCK_BYTES // (8 * k))
+    for r0 in range(0, m, step):
+        yield r0, min(r0 + step, m)
+
+
 def _gemm(w32: np.ndarray, x: np.ndarray) -> np.ndarray:
     """float32 (M, K) times (K, N) in float64, rounded once to float32.
 
-    BLAS accumulators start at +0.0, as a zero-initialised sum does. A
-    float32 x is widened through np.zeros, not astype: with astype, glibc
-    kept about 75 MiB more heap and the peak RSS of a table2-encode run rose
-    from 1212 to 1284 MiB.
+    W is cast and multiplied one row block at a time (_row_blocks), each
+    block's float64 product rounded into its rows of the float32 output.
+    The cast block is a temporary of the product expression, freed before
+    the next block is cast, and the output is made after the first
+    product, where the whole product's astype made it: making it first, or
+    keeping a cast buffer across blocks, fragmented the heap, and on some
+    ctc-longform inputs peak RSS rose by 18 MiB after 10 to 20 calls
+    (2-core Xeon VM, glibc malloc). BLAS accumulators start at +0.0, as a
+    zero-initialised sum does. A float32 x is widened through np.zeros, not
+    astype, which left glibc holding more heap after the call.
     """
     if x.dtype != np.float64:
         x64 = np.zeros(x.shape, dtype=np.float64)
         x64[...] = x
         x = x64
-    return (w32.astype(np.float64) @ x).astype(np.float32)
+    out = None
+    for r0, r1 in _row_blocks(*w32.shape):
+        y = w32[r0:r1].astype(np.float64) @ x
+        if out is None:
+            out = np.empty((w32.shape[0], x.shape[1]), dtype=np.float32)
+        out[r0:r1] = y
+    return out
 
 
 def depthwise_separable_conv1d(x: Tensor, w_dw: Tensor, w_pw: Tensor, stride: int = 1) -> Tensor:
@@ -479,17 +511,28 @@ def batched_matmul(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map of row vectors: (T, D_in) @ w(D_out, D_in)^T + b."""
+    """Affine map of row vectors: (T, D_in) @ w(D_out, D_in)^T + b.
+
+    Walks the row blocks of w (_row_blocks) into column blocks of the
+    output, cast and allocated as in _gemm, each block with its float64
+    bias added before the single rounding.
+    """
     xa = _as2d(x, "linear input (rows, features)")
     wa = _as2d(w, "linear weight (out, in)")
     if xa.shape[1] != wa.shape[1]:
         raise ShapeError(f"features axis mismatch: input {xa.shape} vs weight {wa.shape}")
-    out = xa.astype(np.float64) @ wa.astype(np.float64).T
-    if b is not None:
-        if b.shape != (wa.shape[0],):
-            raise ShapeError(f"bias axis: expected ({wa.shape[0]},), got {b.shape}")
-        out += b._a.astype(np.float64)
-    return Tensor._wrap(out.astype(np.float32))
+    if b is not None and b.shape != (wa.shape[0],):
+        raise ShapeError(f"bias axis: expected ({wa.shape[0]},), got {b.shape}")
+    x64 = xa.astype(np.float64)
+    out = None
+    for r0, r1 in _row_blocks(*wa.shape):
+        y = x64 @ wa[r0:r1].astype(np.float64).T
+        if b is not None:
+            y += b._a[r0:r1].astype(np.float64)
+        if out is None:
+            out = np.empty((xa.shape[0], wa.shape[0]), dtype=np.float32)
+        out[:, r0:r1] = y
+    return Tensor._wrap(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import decimal
 import json
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -82,6 +83,13 @@ class TestConfigResolution:
         with pytest.raises(cli.ConfigError):
             cli.resolve_run_config(str(path))
 
+    def test_config_file_not_utf8_is_a_config_error(self, tmp_path):
+        # was exit 2: the UnicodeDecodeError passed as bad input
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"family": "conv\xff_only"}')
+        with pytest.raises(cli.ConfigError, match="config file"):
+            cli.resolve_run_config(str(path))
+
 
 class TestTypedConfigValidation:
     """Wrongly typed or out-of-range config values exit 3 and name the key."""
@@ -121,6 +129,29 @@ class TestTypedConfigValidation:
         assert code == 3, err
         assert "--seed must be" in err and out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("gen-weights", ["--out"]),
+        ("transcribe", ["--audio"]),
+    ])
+    def test_weights_over_physical_memory_exit_3(self, capsys, tmp_path, tone_wav,
+                                                 command, extra):
+        # 8.0e10 parameters: numpy used to fail asking for 298 GiB (exit 5)
+        raw = {"family": "conv_only", "model_dim": 200000, "channels": 200000, "num_blocks": 1}
+        count = encoders.expected_parameter_count(cli.encoder_config_from_dict(raw))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        target = tone_wav if command == "transcribe" else str(tmp_path / "w.lfwb")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, "--config", str(path), *extra, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3, err
+        assert f"{count} parameters" in err and out == ""
+        assert peak < 2**20
+        assert not (tmp_path / "w.lfwb").exists()
 
     def test_zero_context_is_valid(self):
         raw = dict(cli.PRESETS["toy-fastconformer"], left_context=0, right_context=0)
@@ -397,6 +428,12 @@ class TestMaxLength:
         assert code == 3, err
         assert "num_blocks must be an integer in [1, 1024]" in err and out == ""
 
+    def test_budget_under_one_second_exits_3(self, capsys):
+        code, out, err = run(capsys, "max-length", "--config", "toy-quartznet2",
+                             "--budget-bytes", "1000")
+        assert code == 3, err
+        assert "budget too small" in err and out == ""
+
     def test_output_parses_as_two_numbers(self, capsys):
         code, out, _ = run(capsys, "max-length", "--config",
                            "toy-quartznet2", "--budget-bytes", "100000000")
@@ -627,6 +664,34 @@ class TestInputFuzz:
             assert code in (0, 2), (case, err)
             codes[code] = codes.get(code, 0) + 1
         assert set(codes) == {0, 2}, codes
+
+    def test_config_mutations_exit_0_or_3(self, capsys, tmp_path):
+        # a byte flip, a truncation, or one key set to a JSON value or a
+        # huge integer, over one preset of each family
+        bases = [cli.PRESETS[p] for p in ("toy-quartznet2", "toy-contextnet",
+                                          "toy-citrinet", "toy-fastconformer-gt")]
+        values = FUZZ_JSON_VALUES + [2**63, 10**18, -(10**400)]
+        rng = np.random.default_rng(11)
+        path = tmp_path / "cfg.json"
+        codes = {}
+        for case in range(300):
+            base = bases[case % len(bases)]
+            kind = case % 3
+            if kind == 2:
+                value = values[rng.integers(len(values))]
+                data = json.dumps(dict(base, **{list(base)[rng.integers(len(base))]: value}))
+                data = data.encode()
+            else:
+                data = bytearray(json.dumps(base).encode())
+                if kind == 0:  # one byte anywhere
+                    data[rng.integers(len(data))] = rng.integers(256)
+                else:  # truncation
+                    del data[rng.integers(len(data)):]
+            path.write_bytes(bytes(data))
+            code, _, err = run(capsys, "max-length", "--config", str(path))
+            assert code in (0, 3), (case, bytes(data), err)
+            codes[code] = codes.get(code, 0) + 1
+        assert set(codes) == {0, 3}, codes
 
 
 class TestWeightsEntryNamesStable:

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfab import tensor
+from lfab import encoders, tensor
+from lfab.cli import PRESETS, resolve_run_config
 from lfab.errors import NumericDomainError, ShapeError
 from lfab.tensor import Tensor
 
@@ -534,6 +535,85 @@ class TestTiledScratchBound:
         ):
             extra = heap_peak_over_output(fn, *args)
             assert extra <= bound, f"{name}: {extra} bytes of scratch over {bound}"
+
+    def test_separable_conv_casts_its_weight_in_blocks(self):
+        # a (3072, 3072) pointwise weight is 72 MiB as float64, 4.5 blocks;
+        # cast whole, it alone is over this 42 MiB bound
+        rng = np.random.default_rng(61)
+        c, t = 3072, 375
+        x = Tensor(rng.standard_normal((c, t)).astype(np.float32))
+        w_dw = Tensor(rng.standard_normal((c, 5)).astype(np.float32))
+        w_pw = Tensor(rng.standard_normal((c, c)).astype(np.float32))
+        extra = heap_peak_over_output(tensor.depthwise_separable_conv1d, x, w_dw, w_pw)
+        bound = 8 * c * t + 2 * tensor._GEMM_BLOCK_BYTES + 6 * tensor.TILE_BYTES
+        assert extra <= bound, f"{extra} bytes of scratch over {bound}"
+
+
+def separable_shapes():
+    """(c_out, c_in, k, stride) of every separable conv layer of the presets."""
+    return sorted({(s.c_out, s.c_in, s.k, s.stride) for name in PRESETS
+                   for s in encoders.conv_schedule(resolve_run_config(name).encoder)})
+
+
+def gemm_reference(w, x, b=None):
+    """The whole dense product: W cast to float64 at once, one rounding."""
+    out = w.astype(np.float64) @ x.astype(np.float64)
+    if b is not None:
+        out += b.astype(np.float64)
+    return out.astype(np.float32)
+
+
+class TestBlockedDenseProducts:
+    """The dense products cast and multiply W one row block at a time; every
+    split gives the bytes of the whole product. The block size is patched
+    so each weight runs below, at and just over one block, and in several
+    blocks."""
+
+    @pytest.mark.parametrize("c_out, c_in, k, stride", separable_shapes())
+    def test_preset_shapes_match_whole_product(self, monkeypatch, c_out, c_in, k, stride):
+        rng = np.random.default_rng(c_out * c_in + k)
+        w_dw = rng.standard_normal((c_in, k), dtype=np.float32)
+        w_pw = rng.standard_normal((c_out, c_in), dtype=np.float32) / np.float32(np.sqrt(c_in))
+        bias = rng.standard_normal(c_out, dtype=np.float32)
+        t_dw, t_pw, t_bias = Tensor(w_dw), Tensor(w_pw), Tensor(bias)
+
+        def check(name, want, call, steps):
+            for step in steps:
+                if step is not None:
+                    monkeypatch.setattr(tensor, "_GEMM_BLOCK_BYTES", 8 * c_in * step)
+                assert call().array.tobytes() == want.tobytes(), (name, t_out, step)
+                monkeypatch.undo()
+
+        # every kernel below, at and just over one block, and in three
+        # blocks; at T' = 375 the separable conv alone, as the presets run
+        # it and just over one block, which keeps the run time short
+        for t_out in (1, 47, 375):
+            steps = [None, c_out - 1]
+            if t_out < 375:
+                steps += [c_out + 1, c_out, max(1, c_out // 3)]
+            x = signed_zero_input(rng, (c_in, stride * (t_out - 1) + 1))
+            y64 = np.zeros((c_in, t_out), dtype=np.float64)
+            tensor._depthwise_conv1d(x, w_dw.astype(np.float64), stride, y64)
+            check("separable", gemm_reference(w_pw, y64),
+                  lambda: tensor.depthwise_separable_conv1d(Tensor(x), t_dw, t_pw, stride), steps)
+            if t_out < 375:
+                rows = signed_zero_input(rng, (t_out, c_in))
+                check("matmul", gemm_reference(w_pw, rows.T),
+                      lambda: tensor.matmul(t_pw, Tensor(rows.T)), steps)
+                check("linear_rows", gemm_reference(rows, w_pw.T, bias),
+                      lambda: tensor.linear_rows(Tensor(rows), t_pw, t_bias), steps)
+
+    def test_row_longer_than_a_block(self, monkeypatch):
+        # one row of W is 8 KiB of float64 against a 1 KiB block: a block is one row
+        monkeypatch.setattr(tensor, "_GEMM_BLOCK_BYTES", 2**10)
+        rng = np.random.default_rng(67)
+        w = rng.standard_normal((7, 1024)).astype(np.float32)
+        x = rng.standard_normal((1024, 5)).astype(np.float32)
+        b = rng.standard_normal(7).astype(np.float32)
+        assert [r1 - r0 for r0, r1 in tensor._row_blocks(*w.shape)] == [1] * 7
+        assert tensor.matmul(Tensor(w), Tensor(x)).array.tobytes() == gemm_reference(w, x).tobytes()
+        got = tensor.linear_rows(Tensor(x.T), Tensor(w), Tensor(b))
+        assert got.array.tobytes() == gemm_reference(x.T, w.T, b).tobytes()
 
 
 class TestMatmulSoftmax:
