@@ -127,7 +127,7 @@ def predict_peak_bytes(cfg: EncoderConfig, t_frames: int) -> int:
     if cfg.attention is not None:
         # projection, then the feed-forward, attention and conv module
         # sublayers; the position add (3·t·d) and final norm (2·t·d) hold less
-        peak = max(peak, x + t * d, t * (cfg.ff_expansion + 5) * d,
+        peak = max(peak, x + t * d, t * (encoders.FF_EXPANSION + 5) * d,
                    _attention_phase(cfg, t), 14 * t * d)
         x = t * d
     # decode: encoder output stays live next to the logits

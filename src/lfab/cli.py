@@ -55,7 +55,7 @@ PRESETS: dict[str, dict] = {
     "toy-fastconformer-gt": {
         "family": "conformer_lca_gt", "model_dim": 64, "channels": 64,
         "num_blocks": 4, "heads": 4, "head_dim": 16,
-        "left_context": 16, "right_context": 16, "use_global_token": True,
+        "left_context": 16, "right_context": 16,
     },
     "table2-quartznet2": {
         "family": "conv_only", "model_dim": 1024, "channels": 1024,
@@ -76,14 +76,11 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_ATTENTION_KEYS = ("heads", "head_dim", "left_context", "right_context",
-                   "use_global_token")
-_ENCODER_KEYS = ("model_dim", "num_blocks", "channels", "alpha", "kernel_size",
-                 "kernel_sizes", "se_reduction", "ff_expansion")
+_ATTENTION_KEYS = ("heads", "head_dim", "left_context", "right_context")
+_ENCODER_KEYS = ("model_dim", "num_blocks", "channels", "kernel_sizes")
 # integer config keys and the least value each accepts
 _INT_MINIMUM = {"heads": 1, "head_dim": 1, "left_context": 0, "right_context": 0,
-                "model_dim": 1, "num_blocks": 1, "channels": 1, "kernel_size": 1,
-                "se_reduction": 1, "ff_expansion": 1}
+                "model_dim": 1, "num_blocks": 1, "channels": 1}
 # and the most, where a larger value would run for hours instead of failing
 _INT_MAXIMUM = {"num_blocks": 1024}
 
@@ -106,18 +103,16 @@ def _check_int(key: str, value, minimum: int, maximum: float = math.inf) -> None
 def encoder_config_from_dict(raw: dict) -> EncoderConfig:
     d = dict(raw)
     for key, minimum in _INT_MINIMUM.items():
-        if key in d and not (key == "kernel_size" and d[key] is None):
+        if key in d:
             _check_int(key, d[key], minimum, _INT_MAXIMUM.get(key, math.inf))
-    alpha = d.get("alpha", 1.0)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < math.inf:
-        raise ConfigError(f"alpha must be a positive finite number, got {alpha!r}")
-    if not isinstance(d.get("use_global_token", False), bool):
-        raise ConfigError(f"use_global_token must be true or false, got {d['use_global_token']!r}")
     try:
         family = d.pop("family")
     except KeyError:
         raise ConfigError("config is missing 'family'") from None
     att_kwargs = {k: d.pop(k) for k in _ATTENTION_KEYS if k in d}
+    for key in ("left_context", "right_context"):
+        if family == encoders.CONFORMER_FULL and key in att_kwargs:
+            raise ConfigError(f"conformer_full attends to every frame; {key} does not apply")
     attention = None
     if att_kwargs:
         try:
@@ -127,13 +122,13 @@ def encoder_config_from_dict(raw: dict) -> EncoderConfig:
             raise ConfigError(
                 f"attention config requires {e.args[0]!r}"
             ) from None
-        attention = AttentionConfig(heads, head_dim, **att_kwargs)
+        attention = AttentionConfig(heads, head_dim, **att_kwargs,
+                                    use_global_token=family == encoders.CONFORMER_LCA_GT)
     if d.get("kernel_sizes") is not None:
         if not isinstance(d["kernel_sizes"], list):
             raise ConfigError(f"kernel_sizes must be a list, got {d['kernel_sizes']!r}")
         for k in d["kernel_sizes"]:
             _check_int("kernel_sizes", k, 1)
-        d["kernel_sizes"] = tuple(d["kernel_sizes"])
     unknown = sorted(set(d) - set(_ENCODER_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
@@ -403,7 +398,7 @@ def main(argv=None) -> int:
         return _fail(3, e)
     except WeightsFormatError as e:
         return _fail(4, e)
-    except (FileNotFoundError, IsADirectoryError, ValueError) as e:
+    except (OSError, ValueError) as e:
         return _fail(2, e)
     except Exception as e:
         log.exception("internal error")

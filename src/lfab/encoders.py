@@ -43,6 +43,8 @@ _CONFORMER_FAMILIES = (CONFORMER_FULL, CONFORMER_LCA, CONFORMER_LCA_GT)
 
 _FIXED_KERNELS = {CONV_ONLY: 7, CONV_SE: 5, CONV_SE_CITRINET: 5}
 _CONFORMER_CONV_KERNEL = 9
+SE_REDUCTION = 8  # SE bottleneck: c_out // SE_REDUCTION hidden channels
+FF_EXPANSION = 4  # conformer feed-forward width: FF_EXPANSION * model_dim
 
 
 @dataclass
@@ -51,11 +53,7 @@ class EncoderConfig:
     model_dim: int = 64
     num_blocks: int = 8
     channels: int = 64
-    alpha: float = 1.0
-    kernel_size: int | None = None
     kernel_sizes: tuple[int, ...] | None = None
-    se_reduction: int = 8
-    ff_expansion: int = 4
     attention: AttentionConfig | None = None
 
     def __post_init__(self):
@@ -63,31 +61,13 @@ class EncoderConfig:
             raise ConfigError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.model_dim < 1 or self.num_blocks < 1 or self.channels < 1:
             raise ConfigError("model_dim, num_blocks and channels must be positive")
-        if self.family in _FIXED_KERNELS:
-            fixed = _FIXED_KERNELS[self.family]
-            if self.kernel_size is None:
-                self.kernel_size = fixed
-            elif self.kernel_size != fixed:
-                raise ConfigError(
-                    f"{self.family} uses kernel_size {fixed}, got {self.kernel_size}"
-                )
-        elif self.kernel_size is None:
-            self.kernel_size = _CONFORMER_CONV_KERNEL
         if self.family == CONV_ONLY and self.model_dim != self.channels:
             raise ConfigError("conv_only output width is its channel count; set model_dim = channels")
-        if self.family in (CONV_SE, CONV_SE_CITRINET):
-            if self.num_blocks % 4 != 0:
-                raise ConfigError(
-                    f"{self.family} splits blocks over 4 segments; "
-                    f"num_blocks {self.num_blocks} not divisible by 4"
-                )
-            if self.alpha <= 0:
-                raise ConfigError(f"alpha must be positive, got {self.alpha}")
-            try:
-                self.conv_se_widths()
-            except OverflowError:
-                raise ConfigError(f"channels {self.channels} times alpha {self.alpha} "
-                                  "is too large for a width") from None
+        if self.family in (CONV_SE, CONV_SE_CITRINET) and self.num_blocks % 4 != 0:
+            raise ConfigError(
+                f"{self.family} splits blocks over 4 segments; "
+                f"num_blocks {self.num_blocks} not divisible by 4"
+            )
         if self.family == CONV_SE_CITRINET:
             if self.kernel_sizes is None:
                 raise ConfigError("citrinet requires an explicit per-block kernel list")
@@ -119,9 +99,16 @@ class EncoderConfig:
     def downsample_rate(self) -> int:
         return math.prod(s.stride for s in conv_schedule(self))
 
+    @property
+    def kernel_size(self) -> int:
+        """The family's depthwise kernel: the conv layers' of conv_only and
+        conv_se, the conv module's of the conformers. Citrinet's blocks take
+        kernel_sizes instead."""
+        return _FIXED_KERNELS.get(self.family, _CONFORMER_CONV_KERNEL)
+
     def conv_se_widths(self) -> list[int]:
-        """Per-segment channel widths [c, 2c, 4c, 8c] scaled by alpha."""
-        return [max(1, int(round(self.channels * (2**s) * self.alpha))) for s in range(4)]
+        """Per-segment channel widths [c, 2c, 4c, 8c]."""
+        return [self.channels * 2**s for s in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +143,7 @@ class ConvSpec:
     k: int
     stride: int
     activation: str
-    se_reduction: int | None
+    se: bool
     batch_norm: bool
 
 
@@ -293,8 +280,8 @@ class _Registry:
     def conv_block(self, spec: ConvSpec) -> ConvBlock:
         p, c_in, c_out = spec.prefix, spec.c_in, spec.c_out
         se = None
-        if spec.se_reduction is not None:
-            hidden = max(1, c_out // spec.se_reduction)
+        if spec.se:
+            hidden = max(1, c_out // SE_REDUCTION)
             se = SEWeights(
                 w1=self.uniform(f"{p}.se.w1", (hidden, c_out), c_out),
                 w2=self.uniform(f"{p}.se.w2", (c_out, hidden), hidden),
@@ -325,19 +312,19 @@ def conv_schedule(cfg: EncoderConfig) -> list[ConvSpec]:
     if cfg.family == CONV_ONLY:
         c, k = cfg.channels, cfg.kernel_size
         return [
-            ConvSpec("prologue.0", FEATURE_DIM, c, k, 2, "relu", None, True),
-            ConvSpec("prologue.1", c, c, k, 2, "relu", None, True),
-        ] + [ConvSpec(f"block.{i}", c, c, k, 1, "relu", None, True) for i in range(cfg.num_blocks)]
+            ConvSpec("prologue.0", FEATURE_DIM, c, k, 2, "relu", False, True),
+            ConvSpec("prologue.1", c, c, k, 2, "relu", False, True),
+        ] + [ConvSpec(f"block.{i}", c, c, k, 1, "relu", False, True) for i in range(cfg.num_blocks)]
     if cfg.family in _CONFORMER_FAMILIES:
         c, k = cfg.channels, _CONFORMER_CONV_KERNEL
         return [
-            ConvSpec(f"subsample.{i}", FEATURE_DIM if i == 0 else c, c, k, 2, "relu", None, False)
+            ConvSpec(f"subsample.{i}", FEATURE_DIM if i == 0 else c, c, k, 2, "relu", False, False)
             for i in range(3)
         ]
     per_seg = cfg.num_blocks // 4
     citrinet = cfg.family == CONV_SE_CITRINET
     widths = [cfg.channels] * 4 if citrinet else cfg.conv_se_widths()
-    specs = [ConvSpec("prologue", FEATURE_DIM, widths[0], 5, 1, "silu", None, True)]
+    specs = [ConvSpec("prologue", FEATURE_DIM, widths[0], 5, 1, "silu", False, True)]
     for s in range(4):
         for b in range(per_seg):
             i = s * per_seg + b
@@ -347,14 +334,14 @@ def conv_schedule(cfg: EncoderConfig) -> list[ConvSpec]:
             else:
                 stride = 2 if (s < 3 and b == per_seg - 1) else 1
             specs.append(ConvSpec(f"block.{i}", specs[-1].c_out, widths[s], k, stride, "silu",
-                                  cfg.se_reduction, True))
+                                  True, True))
     return specs
 
 
 def _build_conformer_body(model: EncoderModel, reg: _Registry) -> None:
     """Projection, conformer blocks and final norm, after the subsampling."""
     cfg = model.config
-    d, c, ff = cfg.model_dim, cfg.channels, cfg.ff_expansion * cfg.model_dim
+    d, c, ff = cfg.model_dim, cfg.channels, FF_EXPANSION * cfg.model_dim
     model.proj_w = reg.uniform("proj.w", (d, c), c)
     model.proj_b = reg.uniform("proj.b", (d,), c)
     for i in range(cfg.num_blocks):
@@ -419,10 +406,10 @@ def build(cfg: EncoderConfig, seed: int, source: dict[str, Tensor] | None = None
 # closed-form parameter counts
 
 
-def _conv_block_params(c_in: int, c_out: int, k: int, se_reduction: int | None) -> int:
+def _conv_block_params(c_in: int, c_out: int, k: int, se: bool) -> int:
     n = tensor.separable_param_count(c_in, c_out, k) + 4 * c_out  # conv + BN (gamma/beta/mean/var)
-    if se_reduction is not None:
-        hidden = max(1, c_out // se_reduction)
+    if se:
+        hidden = max(1, c_out // SE_REDUCTION)
         n += 2 * hidden * c_out
     return n
 
@@ -431,24 +418,24 @@ def expected_parameter_count(cfg: EncoderConfig) -> int:
     """Closed-form parameter count of a built (head-less) encoder."""
     if cfg.family == CONV_ONLY:
         c, k = cfg.channels, cfg.kernel_size
-        n = _conv_block_params(FEATURE_DIM, c, k, None)
-        n += _conv_block_params(c, c, k, None)
-        n += cfg.num_blocks * _conv_block_params(c, c, k, None)
+        n = _conv_block_params(FEATURE_DIM, c, k, False)
+        n += _conv_block_params(c, c, k, False)
+        n += cfg.num_blocks * _conv_block_params(c, c, k, False)
         return n
     if cfg.family in (CONV_SE, CONV_SE_CITRINET):
         per_seg = cfg.num_blocks // 4
         citrinet = cfg.family == CONV_SE_CITRINET
         widths = [cfg.channels] * 4 if citrinet else cfg.conv_se_widths()
-        n = _conv_block_params(FEATURE_DIM, widths[0], 5, None)
+        n = _conv_block_params(FEATURE_DIM, widths[0], 5, False)
         prev = widths[0]
         for s in range(4):
             for b in range(per_seg):
                 k = cfg.kernel_sizes[s * per_seg + b] if citrinet else cfg.kernel_size
-                n += _conv_block_params(prev, widths[s], k, cfg.se_reduction)
+                n += _conv_block_params(prev, widths[s], k, True)
                 prev = widths[s]
         n += cfg.model_dim * prev
         return n
-    d, c, ff, k = cfg.model_dim, cfg.channels, cfg.ff_expansion * cfg.model_dim, cfg.kernel_size
+    d, c, ff, k = cfg.model_dim, cfg.channels, FF_EXPANSION * cfg.model_dim, cfg.kernel_size
     k_sub = _CONFORMER_CONV_KERNEL
     n = (tensor.separable_param_count(FEATURE_DIM, c, k_sub)
          + 2 * tensor.separable_param_count(c, c, k_sub))

@@ -47,17 +47,23 @@ def serialize_weights(weights: dict[str, Tensor]) -> bytes:
 
 
 def atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
-    """Write byte chunks so the target is never observed half-written."""
+    """Write byte chunks so the target is never observed half-written.
+
+    An OSError names path, not the temporary file next to it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from e
         raise
 
 

@@ -346,7 +346,7 @@ def _reference_peak_bytes(cfg, t_frames):
         phases += [2 * x, x + t * d]
         x = t * d
         phases.append(3 * x)
-        phases.append(max(t * (cfg.ff_expansion * d + 5 * d), att_phase, 14 * t * d))
+        phases.append(max(t * (encoders.FF_EXPANSION * d + 5 * d), att_phase, 14 * t * d))
         phases.append(2 * x)
     phases.append(x + t * (decoders.default_vocab().size + 1))
     return 4 * (t_frames * FEATURE_DIM + max(phases))
@@ -364,15 +364,12 @@ def _random_config(rng):
         if family == "conv_se_citrinet":
             kernels = tuple(int(k) for k in 2 * rng.integers(0, 12, size=blocks) + 1)
         return EncoderConfig(family=family, model_dim=int(rng.integers(1, 600)),
-                             channels=channels, num_blocks=blocks,
-                             alpha=float(rng.uniform(0.05, 3.0)), kernel_sizes=kernels,
-                             se_reduction=int(rng.integers(1, 16)))
+                             channels=channels, num_blocks=blocks, kernel_sizes=kernels)
     att = AttentionConfig(int(rng.integers(1, 9)), int(rng.integers(1, 65)),
                           int(rng.integers(0, 200)), int(rng.integers(0, 200)),
                           use_global_token=family == "conformer_lca_gt")
     return EncoderConfig(family=family, model_dim=att.model_dim, channels=channels,
-                         num_blocks=int(rng.integers(1, 5)), attention=att,
-                         ff_expansion=int(rng.integers(1, 5)))
+                         num_blocks=int(rng.integers(1, 5)), attention=att)
 
 
 class TestMemoryModelReference:

@@ -96,16 +96,12 @@ class TestTypedConfigValidation:
 
     @pytest.mark.parametrize("base, key, value", [
         ("toy-fastconformer", "heads", "4"),  # was exit 5, TypeError
-        ("toy-contextnet", "se_reduction", 0),  # was exit 5, ZeroDivisionError
-        ("toy-fastconformer", "ff_expansion", 0),  # was exit 2
         ("toy-contextnet", "num_blocks", True),  # was exit 3, "True not divisible"
         ("toy-quartznet2", "model_dim", 64.0),
         ("toy-fastconformer", "left_context", -1),
-        ("toy-citrinet", "kernel_sizes", [5, "3", 7, 5, 9, 5, 7, 3]),
-        ("toy-contextnet", "alpha", float("nan")),
-        ("toy-fastconformer-gt", "use_global_token", 1),
         ("toy-quartznet2", "seed", -1),
         ("toy-quartznet2", "budget_bytes", True),
+        ("toy-citrinet", "kernel_sizes", [5, "3", 7, 5, 9, 5, 7, 3]),  # last: its test id is value6
     ])
     def test_gen_weights_exits_3(self, capsys, tmp_path, base, key, value):
         raw = dict(cli.PRESETS[base], **{key: value})
@@ -115,6 +111,24 @@ class TestTypedConfigValidation:
                            "--out", str(tmp_path / "w.lfwb"))
         assert code == 3, err
         assert key in err and "must be" in err
+        assert not (tmp_path / "w.lfwb").exists()
+
+    @pytest.mark.parametrize("base, key, value", [
+        ("toy-contextnet", "alpha", 1.0),
+        ("toy-quartznet2", "kernel_size", 7),
+        ("toy-contextnet", "se_reduction", 8),
+        ("toy-fastconformer", "ff_expansion", 4),
+        ("toy-fastconformer-gt", "use_global_token", True),
+    ])
+    def test_removed_key_exits_3(self, capsys, tmp_path, base, key, value):
+        # fixed by the family, so unknown even at the value the family uses
+        raw = dict(cli.PRESETS[base], **{key: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "gen-weights", "--config", str(path),
+                           "--out", str(tmp_path / "w.lfwb"))
+        assert code == 3, err
+        assert f"unknown config keys ['{key}']" in err
         assert not (tmp_path / "w.lfwb").exists()
 
     @pytest.mark.parametrize("command, extra", [
@@ -156,6 +170,20 @@ class TestTypedConfigValidation:
     def test_zero_context_is_valid(self):
         raw = dict(cli.PRESETS["toy-fastconformer"], left_context=0, right_context=0)
         assert cli.encoder_config_from_dict(raw).attention.left_context == 0
+
+    @pytest.mark.parametrize("key", ["left_context", "right_context"])
+    def test_full_attention_rejects_a_context_window(self, capsys, tmp_path, key):
+        # was accepted and ignored: max-length printed toy-conformer's answer
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cli.PRESETS["toy-conformer"], **{key: 3})))
+        code, out, err = run(capsys, "max-length", "--config", str(path))
+        assert code == 3, err
+        assert key in err and out == ""
+
+    def test_every_config_key_is_set_by_a_preset(self):
+        # a key no preset sets is an option with one value in use
+        accepted = {"family", *cli._ATTENTION_KEYS, *cli._ENCODER_KEYS}
+        assert accepted - {k for raw in cli.PRESETS.values() for k in raw} == set()
 
 
 class TestTranscribe:
@@ -572,6 +600,33 @@ class TestExitCodes:
                            str(tmp_path / "r.csv"))
         assert code == 5
         assert "boom" in err
+
+    # {F} is a regular file, so a path under it fails with NotADirectoryError
+    @pytest.mark.parametrize("argv, bad", [
+        (["gen-weights", "--config", "toy-conformer", "--out", "{F}/w.lfwb"], "{F}/w.lfwb"),
+        (["gen-weights", "--config", "toy-quartznet2", "--out", "{D}/" + "w" * 300],
+         "{D}/" + "w" * 300),  # ENAMETOOLONG
+        (["bench", "--config", "toy-quartznet2", "--durations", "1", "--out", "{F}/b.csv"],
+         "{F}/b.csv"),
+        (["bench", "--config", "toy-quartznet2", "--durations", "1", "--out", "{D}/no/b.csv"],
+         "{D}/no/b.csv"),  # used to name the temporary file
+        (["score", "--ref-file", "{F}/x", "--hyp-file", "{F}"], "{F}/x"),
+        (["manifest-stats", "--manifest", "{F}/m.json"], "{F}/m.json"),
+        (["transcribe", "--config", "toy-quartznet2", "--manifest", "{F}/m.json"], "{F}/m.json"),
+        (["transcribe", "--config", "toy-quartznet2", "--weights", "{F}/w", "--audio", "{F}"],
+         "{F}/w"),
+    ], ids=["gen-weights", "gen-weights-long-name", "bench", "bench-missing-dir", "score",
+            "manifest-stats", "transcribe-manifest", "transcribe-weights"])
+    def test_os_error_on_a_user_path_is_2(self, capsys, tmp_path, argv, bad):
+        # the NotADirectoryError and ENAMETOOLONG cases exited 5 with a traceback
+        f = tmp_path / "file"
+        f.write_text("x")
+        argv = [a.format(F=f, D=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert bad.format(F=f, D=tmp_path) in err and ".tmp" not in err
+        assert "Traceback" not in err and out == ""
+        assert list(tmp_path.iterdir()) == [f]
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -43,17 +43,27 @@ class TestConfigValidation:
             EncoderConfig(family="transformer")
 
     def test_conv_only_kernel_pinned_to_7(self):
-        with pytest.raises(ConfigError):
-            toy_cfg("conv_only", kernel_size=5)
-        assert toy_cfg("conv_only").kernel_size == 7
+        cfg = toy_cfg("conv_only")
+        assert cfg.kernel_size == 7
+        assert {s.k for s in encoders.conv_schedule(cfg)} == {7}
+        with pytest.raises(TypeError, match="kernel_size"):
+            toy_cfg("conv_only", kernel_size=7)
 
     def test_conv_se_kernel_pinned_to_5(self):
-        with pytest.raises(ConfigError):
-            toy_cfg("conv_se", kernel_size=7)
-        assert toy_cfg("conv_se").kernel_size == 5
+        cfg = toy_cfg("conv_se")
+        assert cfg.kernel_size == 5
+        assert {s.k for s in encoders.conv_schedule(cfg)} == {5}
+        # citrinet's blocks take their own list; its prologue keeps 5
+        cfg = toy_cfg("conv_se_citrinet")
+        assert cfg.kernel_size == 5
+        assert [s.k for s in encoders.conv_schedule(cfg)] == [5, *cfg.kernel_sizes]
 
     def test_conformer_conv_kernel_defaults_to_9(self):
-        assert toy_cfg("conformer_full").kernel_size == 9
+        for family in ("conformer_full", "conformer_lca", "conformer_lca_gt"):
+            m = encoders.build(toy_cfg(family), seed=0)
+            assert m.config.kernel_size == 9
+            assert {s.k for s in encoders.conv_schedule(m.config)} == {9}
+            assert {blk.conv.w_dw.shape[1] for blk in m.blocks} == {9}
 
     def test_citrinet_requires_kernel_list_of_right_length(self):
         with pytest.raises(ConfigError, match="kernel list"):
@@ -272,9 +282,9 @@ class TestParameterCounts:
         cfg = toy_cfg("conv_se_citrinet", kernel_sizes=(5,) * 8)
         m = encoders.build(cfg, seed=0)
         per_seg = cfg.num_blocks // 4
-        total = encoders._conv_block_params(80, cfg.channels, 5, None)
+        total = encoders._conv_block_params(80, cfg.channels, 5, False)
         for i in range(cfg.num_blocks):
-            total += encoders._conv_block_params(cfg.channels, cfg.channels, 5, cfg.se_reduction)
+            total += encoders._conv_block_params(cfg.channels, cfg.channels, 5, True)
         total += cfg.model_dim * cfg.channels
         assert m.parameter_count == total
         assert per_seg == 2
