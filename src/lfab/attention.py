@@ -2,10 +2,9 @@
 
 Three interchangeable evaluation strategies over the same weights:
 
-- mha_full: dense attention, O(T^2) score storage;
-- lca_masked_oracle: dense scores with a band mask outside
-  [i - left, i + right]; the reference every efficient path is tested
-  against;
+- mha_full: dense attention, O(T^2) score storage; with a band mask
+  outside [i - left, i + right] (attend_with_mask), the reference every
+  efficient path is tested against;
 - lca_chunked: overlapping-chunk evaluation that never materializes a T x T
   matrix; peak transient score storage is O(T * (left + right + 1) * heads);
 - lca_global_token: chunked band plus one virtual position that every query
@@ -140,12 +139,6 @@ def mha_full(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:
     """Unmasked dense attention (no residual, no norm: just the sublayer)."""
     validate_weights(cfg, w)
     return attend_with_mask(x, w, cfg, None)
-
-
-def lca_masked_oracle(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:
-    """Reference banded attention: dense O(T^2) scores plus a band mask."""
-    validate_weights(cfg, w)
-    return attend_with_mask(x, w, cfg, band_mask(x.shape[0], cfg.left_context, cfg.right_context))
 
 
 def _gather_windows(arr: np.ndarray, t_pad: int, n_chunks: int, cs: int, win: int, left: int):

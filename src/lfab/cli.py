@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
 import math
@@ -251,8 +252,18 @@ def _parse_durations(text: str) -> list[float]:
     return durations
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise, before the work, the OSError atomic_write would raise after
+    it when --out's directory does not exist."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_bench(args) -> int:
     rc = resolve_run_config(args.config)
+    _check_out_dir(args.out)
     seed = _effective_seed(rc, args)
     model = build_model(rc, seed, args.weights)
     durations = _parse_durations(args.durations)
@@ -284,6 +295,7 @@ def cmd_score(args) -> int:
 
 def cmd_gen_weights(args) -> int:
     rc = resolve_run_config(args.config)
+    _check_out_dir(args.out)
     model = build_model(rc, _effective_seed(rc, args))
     write_weights_file(args.out, model.weights)
     log.info("wrote %d entries to %s", len(model.weights), args.out)

@@ -452,17 +452,6 @@ def expected_parameter_count(cfg: EncoderConfig) -> int:
     return n
 
 
-def ctc_head_param_count(d: int, vocab_size: int) -> int:
-    return (vocab_size + 1) * d + (vocab_size + 1)
-
-
-def rnnt_head_param_count(d: int, vocab_size: int, embed: int, hidden: int, joint: int) -> int:
-    n = vocab_size * embed  # token embedding (no blank row)
-    n += 4 * hidden * embed + 4 * hidden * hidden + 4 * hidden  # LSTM cell
-    n += joint * d + joint * hidden + joint + (vocab_size + 1) * joint  # joint
-    return n
-
-
 def _check_count(model: EncoderModel) -> None:
     got, want = model.parameter_count, expected_parameter_count(model.config)
     if got != want:

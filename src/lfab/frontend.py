@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AudioFormatError, NumericDomainError, ShapeError
-from .tensor import Tensor
+from .tensor import MIN_GEMM_ROWS, Tensor, _split
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400
@@ -26,13 +26,9 @@ FMIN_HZ = 0.0
 FMAX_HZ = 8000.0
 LOG_FLOOR = 1e-10
 # Frames per FFT and mel-projection batch, sized so the batch buffers stay in
-# cache.
+# cache. A batch shorter than MIN_GEMM_ROWS is zero-padded to it, so a
+# frame's features do not depend on the utterance length.
 STFT_BATCH = 256
-# Fewest rows of a mel-projection GEMM. OpenBLAS rounds a GEMM of fewer rows
-# differently (other kernels); from this height on, a row's bits do not depend
-# on the row count, so a shorter batch is zero-padded to it and a frame's
-# features do not depend on the utterance length.
-MIN_GEMM_ROWS = 16
 # Rows per block of the variance's sum of squares.
 NORM_BLOCK = 512
 
@@ -154,7 +150,9 @@ def _hann_window() -> np.ndarray:
 
 
 def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
-    """Unnormalized (T, 80) natural-log mel energies, floored at 1e-10."""
+    """Unnormalized (T, 80) natural-log mel energies, floored at 1e-10.
+
+    The threads split the batches; each part has its own batch buffers."""
     t_frames = num_frames_for(audio.samples.size)
     # frame f is samples[160 f : 160 f + 400], read through a strided view
     frames = np.lib.stride_tricks.sliding_window_view(
@@ -162,26 +160,30 @@ def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
     fb_t = _mel_filterbank().T
     win = _hann_window()
     out = np.empty((t_frames, N_MELS), dtype=np.float64)
-    # zero past the window, so rfft needs no padding copy
-    windowed = np.zeros((min(STFT_BATCH, t_frames), N_FFT), dtype=np.float64)
-    power = np.empty((max(min(STFT_BATCH, t_frames), MIN_GEMM_ROWS), N_FFT // 2 + 1),
-                     dtype=np.float64)
-    for lo in range(0, t_frames, STFT_BATCH):
-        hi = min(lo + STFT_BATCH, t_frames)
-        n = hi - lo
-        np.multiply(frames[lo:hi], win, out=windowed[:n, :WINDOW_SAMPLES])
-        spectrum = np.fft.rfft(windowed[:n], axis=1)
-        p = power[:n]
-        np.square(spectrum.real, out=p)
-        p += np.square(spectrum.imag)
-        mel = out[lo:hi]
-        if n < MIN_GEMM_ROWS:
-            power[n:MIN_GEMM_ROWS] = 0.0
-            mel[...] = np.matmul(power[:MIN_GEMM_ROWS], fb_t)[:n]
-        else:
-            np.matmul(p, fb_t, out=mel)
-        np.maximum(mel, LOG_FLOOR, out=mel)
-        np.log(mel, out=mel)
+    rows = min(STFT_BATCH, t_frames)
+
+    def part(b0: int, b1: int) -> None:
+        # zero past the window, so rfft needs no padding copy
+        windowed = np.zeros((rows, N_FFT), dtype=np.float64)
+        power = np.empty((max(rows, MIN_GEMM_ROWS), N_FFT // 2 + 1), dtype=np.float64)
+        for lo in range(b0 * STFT_BATCH, min(b1 * STFT_BATCH, t_frames), STFT_BATCH):
+            hi = min(lo + STFT_BATCH, t_frames)
+            n = hi - lo
+            np.multiply(frames[lo:hi], win, out=windowed[:n, :WINDOW_SAMPLES])
+            spectrum = np.fft.rfft(windowed[:n], axis=1)
+            p = power[:n]
+            np.square(spectrum.real, out=p)
+            p += np.square(spectrum.imag)
+            mel = out[lo:hi]
+            if n < MIN_GEMM_ROWS:
+                power[n:MIN_GEMM_ROWS] = 0.0
+                mel[...] = np.matmul(power[:MIN_GEMM_ROWS], fb_t)[:n]
+            else:
+                np.matmul(p, fb_t, out=mel)
+            np.maximum(mel, LOG_FLOOR, out=mel)
+            np.log(mel, out=mel)
+
+    _split(part, -(-t_frames // STFT_BATCH))
     return out
 
 

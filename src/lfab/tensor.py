@@ -13,6 +13,10 @@ Design rules, enforced here so every higher layer inherits them:
   whole rows, or segments of one row when a row is longer than a tile, so
   no kernel builds a full-size float64 temporary; the dense products cast
   their weight to float64 in blocks of whole rows of _GEMM_BLOCK_BYTES;
+- the thread pool (_split) runs a kernel's loop in contiguous parts, each
+  with its own scratch, writing disjoint slices of an output the caller
+  owns; no part of a dense product has fewer than MIN_GEMM_ROWS rows or
+  columns, so the bytes are the same at any thread count;
 - signed zeros: a float64 sum that starts at +0.0 is never -0.0, so adding a
   signed zero leaves it unchanged (the depthwise conv's zero-padded taps
   add w * 0.0 = ±0.0), and a sum that starts at its first term instead
@@ -28,7 +32,12 @@ Design rules, enforced here so every higher layer inherits them:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -147,6 +156,83 @@ def _as2d(x: Tensor, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# threads
+
+# lfab's own threads, one per CPU this process may run on (taskset limits it)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+# Fewest rows of a GEMM, and of each part of a split product. OpenBLAS
+# rounds a GEMM of fewer rows differently (other kernels); from this height
+# on, a row's bits do not depend on the row count.
+MIN_GEMM_ROWS = 16
+
+# thread-count setters of the OpenBLAS builds numpy ships
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+# glibc's mallopt parameter for the number of malloc arenas
+_M_ARENA_MAX = -8
+
+
+def _hold_blas_at_one_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread; a no-op where it exports
+    no setter. A threaded OpenBLAS call leaves its worker spinning for about
+    120 ms, which takes a core from lfab's threads, so lfab makes no
+    threaded BLAS call and splits its own work instead."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
+@functools.lru_cache(maxsize=1)
+def _pool(pid: int) -> ThreadPoolExecutor:
+    """lfab's thread pool, made on first use in each process (pid): a forked
+    child has none of its parent's threads. Its threads run only numpy and
+    private helpers that write into buffers the caller owns: no Tensor is
+    made there, since the live-byte accounting is not locked.
+
+    The threads allocate from glibc's one main malloc arena (a no-op where
+    libc has no mallopt). Each arena may keep up to twice the mmap
+    threshold of freed heap untrimmed, and an arena of the pool's own
+    raised table2-encode's peak RSS by 15 MiB (2-core Xeon VM, glibc 2.36).
+    """
+    _hold_blas_at_one_thread()
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="lfab")
+
+
+def _parts(n: int, min_size: int) -> list[tuple[int, int]]:
+    """(lo, hi) parts of range(n), at most _WORKERS of them, as even as can
+    be, each at least min_size long unless n itself is shorter."""
+    k = max(1, min(_WORKERS, n // min_size))
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _split(fn, n: int, min_size: int = 1) -> None:
+    """Run fn(lo, hi) over _parts(n, min_size): the caller runs part 0 and
+    the pool the rest. Returns once every part is done; a part's exception
+    is raised after that."""
+    pool = _pool(os.getpid())
+    (lo, hi), *rest = _parts(n, min_size)
+    futures = [pool.submit(fn, *part) for part in rest]
+    try:
+        fn(lo, hi)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+# ---------------------------------------------------------------------------
 # convolution
 
 
@@ -225,79 +311,92 @@ def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray) -> None:
     cols = t_out if t_out - 1 + span <= slots else max(1, slots - span + 1)
     rows = min(c, max(1, slots // (cols - 1 + span)))
     size = rows * (cols - 1 + span)
-    xs = np.empty(stride * size, dtype=np.float64)
-    acc, prod, wx = (np.empty(size, dtype=np.float64) for _ in range(3))
-    r32 = None if out.dtype == np.float32 else np.empty(rows * cols, dtype=np.float32)
-    for r0, r1, j0, j1 in _tiles(c, t_out, rows * cols):
-        cb, w = r1 - r0, j1 - j0
-        la = w - 1 + span
-        n = (cb - 1) * la + w  # slots up to the block's last output
-        start = j0 * stride - pad_l
-        lo, hi = max(start, 0), min(start + stride * la, t)
-        x2 = xs[: cb * stride * la].reshape(cb, stride * la)
-        x2[:, : lo - start] = 0.0
-        x2[:, lo - start : hi - start] = xa[r0:r1, lo:hi]
-        x2[:, hi - start :] = 0.0
-        a = acc[:n]
-        for j in range(k):
-            if cb == 1:
-                wj = w64[r0, j]
+    tiles = list(_tiles(c, t_out, rows * cols))
+
+    def part(i0: int, i1: int) -> None:
+        xs = np.empty(stride * size, dtype=np.float64)
+        acc, prod, wx = (np.empty(size, dtype=np.float64) for _ in range(3))
+        r32 = None if out.dtype == np.float32 else np.empty(rows * cols, dtype=np.float32)
+        for r0, r1, j0, j1 in tiles[i0:i1]:
+            cb, w = r1 - r0, j1 - j0
+            la = w - 1 + span
+            n = (cb - 1) * la + w  # slots up to the block's last output
+            start = j0 * stride - pad_l
+            lo, hi = max(start, 0), min(start + stride * la, t)
+            x2 = xs[: cb * stride * la].reshape(cb, stride * la)
+            x2[:, : lo - start] = 0.0
+            x2[:, lo - start : hi - start] = xa[r0:r1, lo:hi]
+            x2[:, hi - start :] = 0.0
+            a = acc[:n]
+            for j in range(k):
+                if cb == 1:
+                    wj = w64[r0, j]
+                else:
+                    wx[: cb * la].reshape(cb, la)[...] = w64[r0:r1, j : j + 1]
+                    wj = wx[:n]
+                src = xs[j : j + stride * (n - 1) + 1 : stride]
+                if j == 0:
+                    np.multiply(src, wj, out=a)
+                else:
+                    np.multiply(src, wj, out=prod[:n])
+                    a += prod[:n]
+            res = acc[: cb * la].reshape(cb, la)[:, :w]
+            if r32 is None:
+                np.add(res, 0.0, out=out[r0:r1, j0:j1])
             else:
-                wx[: cb * la].reshape(cb, la)[...] = w64[r0:r1, j : j + 1]
-                wj = wx[:n]
-            src = xs[j : j + stride * (n - 1) + 1 : stride]
-            if j == 0:
-                np.multiply(src, wj, out=a)
-            else:
-                np.multiply(src, wj, out=prod[:n])
-                a += prod[:n]
-        res = acc[: cb * la].reshape(cb, la)[:, :w]
-        if r32 is None:
-            np.add(res, 0.0, out=out[r0:r1, j0:j1])
-        else:
-            r = r32[: cb * w].reshape(cb, w)
-            np.add(res, 0.0, out=r)
-            out[r0:r1, j0:j1] = r
+                r = r32[: cb * w].reshape(cb, w)
+                np.add(res, 0.0, out=r)
+                out[r0:r1, j0:j1] = r
+
+    _split(part, len(tiles))
 
 
-def _row_blocks(m: int, k: int):
-    """(r0, r1) blocks of whole rows of an (M, K) weight, each at most
-    _GEMM_BLOCK_BYTES as float64, or one row when a row is longer.
+def _row_blocks(r0: int, r1: int, k: int):
+    """(b0, b1) blocks of whole rows r0..r1 of a weight K wide, each at most
+    _GEMM_BLOCK_BYTES / _WORKERS as float64, or one row when a row is
+    longer: the threads' parts together cast at most _GEMM_BLOCK_BYTES.
 
     Each output element of a dense product is the dot of one weight row
     with one input column. OpenBLAS 0.3.31 sums it the same way whichever
-    rows share its call, so the blocks give the whole product's bits; the
-    tensor tests check this against the whole product.
+    rows or columns share its call, from MIN_GEMM_ROWS of them on, so the
+    blocks and the threads' parts give the whole product's bits; the tensor
+    tests check this against the whole product.
     """
-    step = max(1, _GEMM_BLOCK_BYTES // (8 * k))
-    for r0 in range(0, m, step):
-        yield r0, min(r0 + step, m)
+    step = max(1, _GEMM_BLOCK_BYTES // (8 * k * _WORKERS))
+    for b0 in range(r0, r1, step):
+        yield b0, min(b0 + step, r1)
 
 
 def _gemm(w32: np.ndarray, x: np.ndarray) -> np.ndarray:
     """float32 (M, K) times (K, N) in float64, rounded once to float32.
 
-    W is cast and multiplied one row block at a time (_row_blocks), each
-    block's float64 product rounded into its rows of the float32 output.
-    The cast block is a temporary of the product expression, freed before
-    the next block is cast, and the output is made after the first
-    product, where the whole product's astype made it: making it first, or
-    keeping a cast buffer across blocks, fragmented the heap, and on some
-    ctc-longform inputs peak RSS rose by 18 MiB after 10 to 20 calls
-    (2-core Xeon VM, glibc malloc). BLAS accumulators start at +0.0, as a
-    zero-initialised sum does. A float32 x is widened through np.zeros, not
-    astype, which left glibc holding more heap after the call.
+    The threads split the product along W's rows when they outnumber x's
+    columns, and along x's columns otherwise. Each part casts and
+    multiplies its rows of W one block at a time (_row_blocks), each
+    block's float64 product rounded into its part of the float32 output;
+    a cast block is a temporary of the product expression, freed before
+    the next block is cast. Keeping a cast buffer across blocks fragmented
+    the heap: on some ctc-longform inputs peak RSS rose by 18 MiB after 10
+    to 20 calls (2-core Xeon VM, glibc malloc). BLAS accumulators start at
+    +0.0, as a zero-initialised sum does. A float32 x is widened through
+    np.zeros, not astype, which left glibc holding more heap after the
+    call.
     """
     if x.dtype != np.float64:
         x64 = np.zeros(x.shape, dtype=np.float64)
         x64[...] = x
         x = x64
-    out = None
-    for r0, r1 in _row_blocks(*w32.shape):
-        y = w32[r0:r1].astype(np.float64) @ x
-        if out is None:
-            out = np.empty((w32.shape[0], x.shape[1]), dtype=np.float32)
-        out[r0:r1] = y
+    (m, k), n = w32.shape, x.shape[1]
+    out = np.empty((m, n), dtype=np.float32)
+
+    def part(r0: int, r1: int, c0: int, c1: int) -> None:
+        for b0, b1 in _row_blocks(r0, r1, k):
+            out[b0:b1, c0:c1] = w32[b0:b1].astype(np.float64) @ x[:, c0:c1]
+
+    if m > n:
+        _split(lambda r0, r1: part(r0, r1, 0, n), m, MIN_GEMM_ROWS)
+    else:
+        _split(lambda c0, c1: part(0, m, c0, c1), n, MIN_GEMM_ROWS)
     return out
 
 
@@ -349,13 +448,18 @@ def batch_norm_infer(
     mu, sd = mean._a.astype(np.float64)[:, None], np.sqrt(denom)[:, None]
     g, b = gamma._a.astype(np.float64)[:, None], beta._a.astype(np.float64)[:, None]
     out = np.empty(xa.shape, dtype=np.float32)
-    buf = np.empty(min(xa.size, TILE_BYTES // 8), dtype=np.float64)
-    for r0, r1, c0, c1 in _tiles(*xa.shape, TILE_BYTES // 8):
-        y = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
-        np.subtract(xa[r0:r1, c0:c1], mu[r0:r1], out=y)
-        y /= sd[r0:r1]
-        y *= g[r0:r1]
-        np.add(y, b[r0:r1], out=out[r0:r1, c0:c1])
+    tiles = list(_tiles(*xa.shape, TILE_BYTES // 8))
+
+    def part(i0: int, i1: int) -> None:
+        buf = np.empty(min(xa.size, TILE_BYTES // 8), dtype=np.float64)
+        for r0, r1, c0, c1 in tiles[i0:i1]:
+            y = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            np.subtract(xa[r0:r1, c0:c1], mu[r0:r1], out=y)
+            y /= sd[r0:r1]
+            y *= g[r0:r1]
+            np.add(y, b[r0:r1], out=out[r0:r1, c0:c1])
+
+    _split(part, len(tiles))
     return Tensor._wrap(out)
 
 
@@ -372,17 +476,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(f"features axis: gamma/beta expected ({d},)")
     g, b = gamma._a.astype(np.float64), beta._a.astype(np.float64)
     step = min(rows, max(1, TILE_BYTES // (8 * d)))
-    buf, sq = np.empty((step, d), dtype=np.float64), np.empty((step, d), dtype=np.float64)
     out = np.empty(xa.shape, dtype=np.float32)
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        y, s = buf[: r1 - r0], sq[: r1 - r0]
-        y[...] = xa[r0:r1]
-        y -= y.mean(axis=1, keepdims=True)
-        np.square(y, out=s)
-        y /= np.sqrt(s.mean(axis=1, keepdims=True) + eps)
-        y *= g
-        np.add(y, b, out=out[r0:r1])
+
+    def part(i0: int, i1: int) -> None:
+        buf, sq = np.empty((step, d), dtype=np.float64), np.empty((step, d), dtype=np.float64)
+        for r0 in range(i0 * step, min(i1 * step, rows), step):
+            r1 = min(r0 + step, rows)
+            y, s = buf[: r1 - r0], sq[: r1 - r0]
+            y[...] = xa[r0:r1]
+            y -= y.mean(axis=1, keepdims=True)
+            np.square(y, out=s)
+            y /= np.sqrt(s.mean(axis=1, keepdims=True) + eps)
+            y *= g
+            np.add(y, b, out=out[r0:r1])
+
+    _split(part, -(-rows // step))
     return Tensor._wrap(out)
 
 
@@ -399,13 +507,17 @@ def _sigmoid32(xa: np.ndarray) -> np.ndarray:
     out = np.empty(xa.shape, dtype=np.float32)
     xf, of = xa.reshape(-1), out.reshape(-1)
     per = TILE_BYTES // 8
-    buf = np.empty(min(xf.size, per), dtype=np.float64)
-    for i in range(0, xf.size, per):
-        y = buf[: min(per, xf.size - i)]
-        np.negative(xf[i : i + per], out=y, dtype=np.float64)
-        np.exp(y, out=y)
-        y += 1.0
-        np.divide(1.0, y, out=of[i : i + per])
+
+    def part(i0: int, i1: int) -> None:
+        buf = np.empty(min(xf.size, per), dtype=np.float64)
+        for i in range(i0 * per, min(i1 * per, xf.size), per):
+            y = buf[: min(per, xf.size - i)]
+            np.negative(xf[i : i + per], out=y, dtype=np.float64)
+            np.exp(y, out=y)
+            y += 1.0
+            np.divide(1.0, y, out=of[i : i + per])
+
+    _split(part, -(-xf.size // per))
     return out
 
 
@@ -504,18 +616,27 @@ def batched_matmul(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
         raise ShapeError(f"batch axes mismatch: {a.shape[:-2]} vs {b.shape[:-2]}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner axis mismatch: lhs {a.shape} vs rhs {b.shape}")
-    out = a._a.astype(np.float64) @ b._a.astype(np.float64)
-    if scale != 1.0:
-        out *= scale
-    return Tensor._wrap(out.astype(np.float32))
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    out = np.empty(a.shape[:-1] + (n,), dtype=np.float32)
+    # the threads split the batch axis; out, not a view of it, is the result
+    a3, b3, out3 = a._a.reshape(-1, m, k), b._a.reshape(-1, k, n), out.reshape(-1, m, n)
+
+    def part(i0: int, i1: int) -> None:
+        y = a3[i0:i1].astype(np.float64) @ b3[i0:i1].astype(np.float64)
+        if scale != 1.0:
+            y *= scale
+        out3[i0:i1] = y
+
+    _split(part, len(a3))
+    return Tensor._wrap(out)
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map of row vectors: (T, D_in) @ w(D_out, D_in)^T + b.
 
-    Walks the row blocks of w (_row_blocks) into column blocks of the
-    output, cast and allocated as in _gemm, each block with its float64
-    bias added before the single rounding.
+    The threads split w's rows; each part walks its row blocks
+    (_row_blocks) into column blocks of the output, cast as in _gemm, each
+    block with its float64 bias added before the single rounding.
     """
     xa = _as2d(x, "linear input (rows, features)")
     wa = _as2d(w, "linear weight (out, in)")
@@ -524,14 +645,17 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (wa.shape[0],):
         raise ShapeError(f"bias axis: expected ({wa.shape[0]},), got {b.shape}")
     x64 = xa.astype(np.float64)
-    out = None
-    for r0, r1 in _row_blocks(*wa.shape):
-        y = x64 @ wa[r0:r1].astype(np.float64).T
-        if b is not None:
-            y += b._a[r0:r1].astype(np.float64)
-        if out is None:
-            out = np.empty((xa.shape[0], wa.shape[0]), dtype=np.float32)
-        out[:, r0:r1] = y
+    m, k = wa.shape
+    out = np.empty((xa.shape[0], m), dtype=np.float32)
+
+    def part(r0: int, r1: int) -> None:
+        for b0, b1 in _row_blocks(r0, r1, k):
+            y = x64 @ wa[b0:b1].astype(np.float64).T
+            if b is not None:
+                y += b._a[b0:b1].astype(np.float64)
+            out[:, b0:b1] = y
+
+    _split(part, m, MIN_GEMM_ROWS)
     return Tensor._wrap(out)
 
 

@@ -9,25 +9,24 @@ a format error.
 Files are streamed both ways: the reader reads each entry's values straight
 into the array its Tensor keeps, and the writer writes each array's own
 buffer, so neither ever holds a whole-file copy next to the model. The
-reader parses headers in file order while a thread pool reads the larger
+reader parses headers in file order while lfab's thread pool reads the larger
 entries' values, block by block, each block finite-checked while it is
 still in cache; errors are reported as a sequential read would find them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import struct
 import tempfile
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, wait
 
 import numpy as np
 
 from .errors import WeightsFormatError
-from .tensor import TILE_BYTES, Tensor
+from .tensor import TILE_BYTES, Tensor, _pool
 
 MAGIC = b"LFWB"
 _MAX_NDIM = 8
@@ -40,10 +39,6 @@ def _chunks(weights: dict[str, Tensor]) -> Iterator[bytes | memoryview]:
         nb = name.encode("utf-8")
         yield struct.pack(f"<I{len(nb)}sI{t.ndim}I", len(nb), nb, t.ndim, *t.shape)
         yield memoryview(np.ascontiguousarray(t.array, dtype="<f4")).cast("B")
-
-
-def serialize_weights(weights: dict[str, Tensor]) -> bytes:
-    return b"".join(_chunks(weights))
 
 
 def atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
@@ -79,16 +74,6 @@ def write_weights_file(path, weights: dict[str, Tensor]) -> None:
 # the interpreter lock than they gain in cache.
 _BLOCK = 4 * TILE_BYTES
 _SPAN = 8 * _BLOCK
-
-
-@functools.lru_cache(maxsize=1)
-def _pool(pid: int) -> ThreadPoolExecutor:
-    """The readers' threads, one per CPU this process may run on, made on
-    first use in each process (pid): a forked child has none of its
-    parent's threads. They run only the source's reads and numpy."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return ThreadPoolExecutor(cpus, thread_name_prefix="lfab-weights")
 
 
 def _read_span(readinto, raw: memoryview, offset: int, start: int,

@@ -17,7 +17,7 @@ from lfab.attention import AttentionConfig
 from lfab.decoders import RnntDecoderWeights, default_vocab
 from lfab.encoders import EncoderConfig
 from lfab.tensor import Tensor
-from test_attention import init_attention_weights
+from test_attention import init_attention_weights, lca_masked_oracle
 
 
 @contextlib.contextmanager
@@ -72,7 +72,7 @@ def test_criterion_01_attention_equivalence():
             w = init_attention_weights(cfg, rng)
             x = rand_tensor(rng, (t, cfg.model_dim))
             got = attention.lca_chunked(x, w, cfg)
-            ref = attention.lca_masked_oracle(x, w, cfg)
+            ref = lca_masked_oracle(x, w, cfg)
             assert np.abs(got.array - ref.array).max() <= 1e-5
         assert time.perf_counter() - start < 120.0
 

@@ -100,18 +100,25 @@ class TestFullAttention:
         assert attention.mha_full(rand_x(17, 64), w, cfg).shape == (17, 64)
 
 
+def lca_masked_oracle(x, w, cfg):
+    """Reference banded attention: dense O(T^2) scores plus a band mask."""
+    attention.validate_weights(cfg, w)
+    mask = attention.band_mask(x.shape[0], cfg.left_context, cfg.right_context)
+    return attention.attend_with_mask(x, w, cfg, mask)
+
+
 class TestMaskedOracle:
     def test_window_zero_attends_only_self(self):
         cfg, w = make(left=0, right=0)
         x = rand_x(7, cfg.model_dim)
-        got = attention.lca_masked_oracle(x, w, cfg)
+        got = lca_masked_oracle(x, w, cfg)
         want = tensor.linear_rows(tensor.linear_rows(x, w.w_v, w.b_v), w.w_o, w.b_o)
         np.testing.assert_allclose(got.array, want.array, atol=2e-6)
 
     def test_full_window_is_bitwise_mha(self):
         cfg, w = make(left=63, right=63)
         x = rand_x(64, cfg.model_dim)
-        a = attention.lca_masked_oracle(x, w, cfg)
+        a = lca_masked_oracle(x, w, cfg)
         b = attention.mha_full(x, w, cfg)
         np.testing.assert_array_equal(a.array, b.array)
 
@@ -119,10 +126,10 @@ class TestMaskedOracle:
         # changing a key outside every query's band must not change outputs
         cfg, w = make(left=2, right=2)
         x = rand_x(32, cfg.model_dim).array.copy()
-        base = attention.lca_masked_oracle(Tensor(x), w, cfg).array[:8]
+        base = lca_masked_oracle(Tensor(x), w, cfg).array[:8]
         x2 = x.copy()
         x2[20:] += 5.0  # far outside the band of rows 0..7
-        pert = attention.lca_masked_oracle(Tensor(x2), w, cfg).array[:8]
+        pert = lca_masked_oracle(Tensor(x2), w, cfg).array[:8]
         np.testing.assert_array_equal(base, pert)
 
 
@@ -131,7 +138,7 @@ class TestChunked:
         cfg, w = make(left=16, right=16)
         x = rand_x(31, cfg.model_dim)  # 31 < chunk size 40
         a = attention.lca_chunked(x, w, cfg)
-        b = attention.lca_masked_oracle(x, w, cfg)
+        b = lca_masked_oracle(x, w, cfg)
         np.testing.assert_array_equal(a.array, b.array)
 
     @pytest.mark.parametrize("t,left,right", [
@@ -142,7 +149,7 @@ class TestChunked:
         cfg, w = make(left=left, right=right, seed=left * 100 + right)
         x = rand_x(t, cfg.model_dim, seed=t)
         a = attention.lca_chunked(x, w, cfg).array
-        b = attention.lca_masked_oracle(x, w, cfg).array
+        b = lca_masked_oracle(x, w, cfg).array
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
     def test_never_materializes_dense_scores(self):
@@ -198,9 +205,9 @@ class TestOracleMemory:
         peaks = {}
         for t in (512, 1024):
             x = rand_x(t, cfg.model_dim)
-            attention.lca_masked_oracle(x, w, cfg)
+            lca_masked_oracle(x, w, cfg)
             with tensor.AllocationTracker() as tr:
-                attention.lca_masked_oracle(x, w, cfg)
+                lca_masked_oracle(x, w, cfg)
             peaks[t] = tr.peak_bytes
         ratio = peaks[1024] / peaks[512]
         assert 3.5 <= ratio <= 4.5, ratio

@@ -11,7 +11,8 @@ import pytest
 
 from lfab import cli, encoders, frontend, metrics
 from lfab.tensor import Tensor
-from lfab.weights import read_weights_file, serialize_weights, write_weights_file
+from lfab.weights import read_weights_file, write_weights_file
+from test_weights import serialize_weights
 
 # bench CSV columns that hold seconds, so differ from run to run
 TIMING_COLUMNS = {"wall_s", "rtf", "frontend_s", "encoder_s", "decoder_s"}
@@ -627,6 +628,27 @@ class TestExitCodes:
         assert bad.format(F=f, D=tmp_path) in err and ".tmp" not in err
         assert "Traceback" not in err and out == ""
         assert list(tmp_path.iterdir()) == [f]
+
+    @pytest.mark.parametrize("command", ["bench", "gen-weights"])
+    def test_missing_out_directory_exits_2_before_the_work(self, capsys, tmp_path,
+                                                          monkeypatch, command):
+        calls = []
+
+        def work(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the work ran")
+
+        monkeypatch.setattr(cli, "build_model", work)
+        monkeypatch.setattr(cli.bench, "sweep_rtf", work)
+        out = tmp_path / "missing" / "result"
+        argv = [command, "--config", "toy-quartznet2", "--out", str(out)]
+        if command == "bench":
+            argv += ["--durations", "1"]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2, err
+        assert f"No such file or directory: '{out}'" in err and stdout == ""
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

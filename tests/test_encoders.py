@@ -238,6 +238,14 @@ class TestPinnedEncoderOutputs:
         digest = hashlib.sha256(out.array.tobytes()).hexdigest()
         assert (digest, tracker.peak_bytes) == PINNED_ENCODER_OUTPUTS[preset, seconds]
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("preset, seconds", sorted(PINNED_ENCODER_OUTPUTS))
+    def test_pins_hold_at_other_worker_counts(self, preset, seconds, workers, synth_feats,
+                                              monkeypatch):
+        # one worker runs every kernel whole; three split it unevenly
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        self.test_output_hash_and_peak(preset, seconds, synth_feats)
+
 
 class TestDeterminismAndBounds:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -261,6 +269,17 @@ class TestDeterminismAndBounds:
         out = encoders.encode(m, feats(1600, seed=4)).array
         assert np.isfinite(out).all()
         assert np.abs(out).max() < 1e3
+
+
+def ctc_head_param_count(d, vocab_size):
+    return (vocab_size + 1) * d + (vocab_size + 1)
+
+
+def rnnt_head_param_count(d, vocab_size, embed, hidden, joint):
+    n = vocab_size * embed  # token embedding (no blank row)
+    n += 4 * hidden * embed + 4 * hidden * hidden + 4 * hidden  # LSTM cell
+    n += joint * d + joint * hidden + joint + (vocab_size + 1) * joint  # joint
+    return n
 
 
 class TestParameterCounts:
@@ -293,9 +312,9 @@ class TestParameterCounts:
         m = encoders.build(toy_cfg("conv_only"), seed=0)
         base = m.parameter_count
         encoders.attach_heads(m)
-        ctc = encoders.ctc_head_param_count(64, 28)
+        ctc = ctc_head_param_count(64, 28)
         assert ctc == 29 * 64 + 29
-        rnnt = encoders.rnnt_head_param_count(64, 28, 64, 64, 64)
+        rnnt = rnnt_head_param_count(64, 28, 64, 64, 64)
         assert m.parameter_count - base == ctc + rnnt
 
 

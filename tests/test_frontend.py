@@ -9,7 +9,7 @@ import wave
 import numpy as np
 import pytest
 
-from lfab import frontend
+from lfab import frontend, tensor
 from lfab.errors import AudioFormatError
 from lfab.frontend import AudioBuffer
 
@@ -150,10 +150,43 @@ class TestLogMel:
         assert got.tobytes() == z.astype(np.float32).tobytes()
 
 
+class TestThreads:
+    """The threads split the FFT and mel batches; every frame keeps its
+    bits at any worker count."""
+
+    @pytest.mark.parametrize("t_frames", [1, 13, 998, 4101])
+    def test_log_mel_bits_at_any_worker_count(self, t_frames, monkeypatch):
+        audio = audio_with_frames(t_frames, seed=t_frames)
+        got = set()
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(tensor, "_WORKERS", workers)
+            got.add(frontend.log_mel(audio).frames.array.tobytes())
+        assert len(got) == 1
+
+    def test_log_mel_bits_at_600_seconds(self, monkeypatch):
+        audio = frontend.synth_audio(600.0, seed=11)
+        got = set()
+        for workers in (1, max(2, tensor._WORKERS)):
+            monkeypatch.setattr(tensor, "_WORKERS", workers)
+            got.add(frontend.log_mel(audio).frames.array.tobytes())
+        assert len(got) == 1
+
+
 class TestMemory:
-    def test_log_mel_heap_peak(self):
+    def test_log_mel_heap_peak(self, monkeypatch):
         # no full-size temporary beyond the float64 energies, the float32
         # features and the finite check's mask
+        monkeypatch.setattr(tensor, "_WORKERS", 1)
+        self.check_heap_peak(1)
+
+    def test_log_mel_heap_peak_at_n_workers(self, monkeypatch):
+        # each worker's part has its own batch buffers
+        workers = max(2, tensor._WORKERS)
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        self.check_heap_peak(workers)
+
+    @staticmethod
+    def check_heap_peak(workers):
         audio = frontend.synth_audio(120.0, seed=3)
         t = frontend.num_frames_for(audio.samples.size)
         gc.collect()
@@ -165,10 +198,11 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         rows, bins = frontend.STFT_BATCH, frontend.N_FFT // 2 + 1
-        # windowed frames, power, the complex spectrum and its squared
-        # imaginary part; the variance's block of squares
-        batch_buffers = (8 * rows * frontend.N_FFT + 8 * rows * bins + 16 * rows * bins
-                         + 8 * rows * bins + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS)
+        # per worker: windowed frames, power, the complex spectrum and its
+        # squared imaginary part; then the variance's block of squares
+        batch_buffers = (workers * (8 * rows * frontend.N_FFT + 8 * rows * bins
+                                    + 16 * rows * bins + 8 * rows * bins)
+                         + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS)
         cells = t * frontend.N_MELS
         assert peak <= 8 * cells + 4 * cells + cells + batch_buffers
 

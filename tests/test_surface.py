@@ -16,11 +16,7 @@ CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 # public names no caller uses, each kept on purpose
 ALLOWED_UNREFERENCED = {
-    "lca_masked_oracle": "reference oracle that the chunked attention paths are tested against",
-    "ctc_head_param_count": "closed-form oracle for the CTC head's parameter count",
-    "rnnt_head_param_count": "closed-form oracle for the RNNT head's parameter count",
     "ctc_rnnt_divergence": "the CTC vs RNNT decode-cost measurement of acceptance criterion 05",
-    "serialize_weights": "builds the LFWB bytes the tests corrupt into malformed files",
 }
 
 

@@ -1,5 +1,9 @@
 """Tensor substrate tests: brute-force conv oracle, shape laws, accounting."""
 
+import ctypes
+import glob
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -479,6 +483,13 @@ class TestTiledKernels:
         if t > (tile_slots or tensor.TILE_BYTES // 8):
             assert "row segments" in tile_kinds(calls)
 
+    @pytest.mark.parametrize("shape", [(13, 57), (3, 1000), (2, 70001)])
+    def test_bits_match_formulas_at_three_workers(self, monkeypatch, shape):
+        monkeypatch.setattr(tensor, "_WORKERS", 3)
+        calls = record_parts(monkeypatch)
+        self.test_bits_match_formulas(monkeypatch, 200, shape)
+        assert max(len(parts) for _, parts in calls) == 3
+
     def test_mean_of_long_rows_keeps_numpy_pairwise_tree(self, monkeypatch):
         # rows of lengths around the pairwise split points, summed in runs
         # that fit a tile, against numpy's one-pass row sums. Each row holds
@@ -511,12 +522,29 @@ def heap_peak_over_output(fn, *args):
     return peak - out.nbytes
 
 
+# a worker count above one on any machine; on fewer CPUs the pool's
+# threads take the parts in turn
+N_WORKERS = max(2, tensor._WORKERS)
+
+
 class TestTiledScratchBound:
     """No tiled kernel builds a full-size float64 temporary: its heap peak is
-    its output plus a few tiles, however long the time axis."""
+    its output plus a few tiles per worker, however long the time axis. Each
+    worker's part has scratch of its own, so N workers hold N times the
+    scratch of one."""
 
     @pytest.mark.parametrize("shape", [(64, 60000), (4736, 375)])
-    def test_heap_peak_is_output_plus_tiles(self, shape):
+    def test_heap_peak_is_output_plus_tiles(self, shape, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", 1)
+        self.check_tiled_kernels(shape, 1)
+
+    @pytest.mark.parametrize("shape", [(64, 60000), (4736, 375)])
+    def test_heap_peak_at_n_workers(self, shape, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", N_WORKERS)
+        self.check_tiled_kernels(shape, N_WORKERS)
+
+    @staticmethod
+    def check_tiled_kernels(shape, workers):
         rng = np.random.default_rng(59)
         c, t = shape
         x = Tensor(rng.standard_normal(shape).astype(np.float32))
@@ -524,7 +552,7 @@ class TestTiledScratchBound:
         w_dw = Tensor(rng.standard_normal((c, 1, 5)).astype(np.float32))
         x_rows = Tensor(rng.standard_normal((t, c)).astype(np.float32))
         feat = [Tensor(np.ones(c, dtype=np.float32)), Tensor(np.zeros(c, dtype=np.float32))]
-        bound = 6 * tensor.TILE_BYTES
+        bound = workers * 6 * tensor.TILE_BYTES
         for name, fn, args in (
             ("conv1d", tensor.conv1d, (x, w_dw)),
             ("batch_norm_infer", tensor.batch_norm_infer, (x, *chan)),
@@ -536,16 +564,26 @@ class TestTiledScratchBound:
             extra = heap_peak_over_output(fn, *args)
             assert extra <= bound, f"{name}: {extra} bytes of scratch over {bound}"
 
-    def test_separable_conv_casts_its_weight_in_blocks(self):
+    def test_separable_conv_casts_its_weight_in_blocks(self, monkeypatch):
         # a (3072, 3072) pointwise weight is 72 MiB as float64, 4.5 blocks;
         # cast whole, it alone is over this 42 MiB bound
+        monkeypatch.setattr(tensor, "_WORKERS", 1)
+        self.check_separable_conv(1)
+
+    def test_separable_conv_at_n_workers(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", N_WORKERS)
+        self.check_separable_conv(N_WORKERS)
+
+    @staticmethod
+    def check_separable_conv(workers):
         rng = np.random.default_rng(61)
         c, t = 3072, 375
         x = Tensor(rng.standard_normal((c, t)).astype(np.float32))
         w_dw = Tensor(rng.standard_normal((c, 5)).astype(np.float32))
         w_pw = Tensor(rng.standard_normal((c, c)).astype(np.float32))
         extra = heap_peak_over_output(tensor.depthwise_separable_conv1d, x, w_dw, w_pw)
-        bound = 8 * c * t + 2 * tensor._GEMM_BLOCK_BYTES + 6 * tensor.TILE_BYTES
+        # the parts share the cast blocks' budget; each has its own tiles
+        bound = 8 * c * t + 2 * tensor._GEMM_BLOCK_BYTES + workers * 6 * tensor.TILE_BYTES
         assert extra <= bound, f"{extra} bytes of scratch over {bound}"
 
 
@@ -610,10 +648,132 @@ class TestBlockedDenseProducts:
         w = rng.standard_normal((7, 1024)).astype(np.float32)
         x = rng.standard_normal((1024, 5)).astype(np.float32)
         b = rng.standard_normal(7).astype(np.float32)
-        assert [r1 - r0 for r0, r1 in tensor._row_blocks(*w.shape)] == [1] * 7
+        assert [r1 - r0 for r0, r1 in tensor._row_blocks(0, *w.shape)] == [1] * 7
         assert tensor.matmul(Tensor(w), Tensor(x)).array.tobytes() == gemm_reference(w, x).tobytes()
         got = tensor.linear_rows(Tensor(x.T), Tensor(w), Tensor(b))
         assert got.array.tobytes() == gemm_reference(x.T, w.T, b).tobytes()
+
+
+def record_parts(monkeypatch):
+    """Spy on tensor._parts: a list that collects (min_size, parts) per call."""
+    calls = []
+    real = tensor._parts
+
+    def spy(n, min_size):
+        parts = real(n, min_size)
+        calls.append((min_size, parts))
+        return parts
+
+    monkeypatch.setattr(tensor, "_parts", spy)
+    return calls
+
+
+class TestSplitProducts:
+    """The threads' parts of a dense product give the whole product's
+    bytes: at parts of exactly MIN_GEMM_ROWS rows or columns, and at odd
+    sizes. No part of a product is under MIN_GEMM_ROWS."""
+
+    @pytest.mark.parametrize("workers, n, sizes", [
+        (2, 32, [16, 16]), (3, 48, [16, 16, 16]), (2, 33, [16, 17]),
+        (3, 47, [23, 24]), (3, 101, [33, 34, 34]), (2, 31, [31]), (1, 1000, [1000]),
+    ])
+    def test_parts_tile_the_range(self, monkeypatch, workers, n, sizes):
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        parts = tensor._parts(n, tensor.MIN_GEMM_ROWS)
+        assert [hi - lo for lo, hi in parts] == sizes
+        assert [lo for lo, _ in parts] == [0] + [hi for _, hi in parts[:-1]]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("size", [32, 33, 48, 61, 100])
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_products_match_whole(self, monkeypatch, workers, size, block_rows):
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        rng = np.random.default_rng(size * workers)
+        k = 37 + size % 7
+        if block_rows is not None:
+            monkeypatch.setattr(tensor, "_GEMM_BLOCK_BYTES", 8 * k * block_rows)
+        calls = record_parts(monkeypatch)
+        narrow = 9 if size < 48 else 16  # the unsplit side under or at the minimum
+        # _gemm along W's rows, then along x's columns
+        for m, n in ((size, narrow), (narrow, size)):
+            w = signed_zero_input(rng, (m, k))
+            x = signed_zero_input(rng, (k, n))
+            got = tensor.matmul(Tensor(w), Tensor(x)).array
+            assert got.tobytes() == gemm_reference(w, x).tobytes(), (m, n)
+        # linear_rows along its weight's rows
+        x = signed_zero_input(rng, (23, k))
+        w = signed_zero_input(rng, (size, k))
+        b = rng.standard_normal(size).astype(np.float32)
+        got = tensor.linear_rows(Tensor(x), Tensor(w), Tensor(b)).array
+        assert got.tobytes() == gemm_reference(x, w.T, b).tobytes()
+        splits = [parts for min_size, parts in calls if min_size == tensor.MIN_GEMM_ROWS]
+        assert len(splits) == 3
+        assert all(len(parts) == min(workers, size // tensor.MIN_GEMM_ROWS) for parts in splits)
+        assert min(hi - lo for parts in splits for lo, hi in parts) >= tensor.MIN_GEMM_ROWS
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("lead", [(2,), (3,), (7,), (4, 5), (1,)])
+    def test_batched_matmul_matches_whole(self, monkeypatch, workers, lead):
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        rng = np.random.default_rng(sum(lead) + workers)
+        a = signed_zero_input(rng, (int(np.prod(lead)) * 19, 8)).reshape(*lead, 19, 8)
+        b = signed_zero_input(rng, (int(np.prod(lead)) * 8, 23)).reshape(*lead, 8, 23)
+        calls = record_parts(monkeypatch)
+        for scale in (1.0, 1.0 / np.sqrt(8.0)):
+            got = tensor.batched_matmul(Tensor(a), Tensor(b), scale=scale).array
+            want = a.astype(np.float64) @ b.astype(np.float64)
+            if scale != 1.0:
+                want *= scale
+            assert got.tobytes() == want.astype(np.float32).tobytes()
+        assert [len(parts) for _, parts in calls] == [min(workers, int(np.prod(lead)))] * 2
+
+    def test_part_error_raised_after_every_part(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", 3)
+        done = []
+
+        def fn(lo, hi):
+            if lo == 1:
+                raise RuntimeError("part 1")
+            done.append(lo)
+
+        with pytest.raises(RuntimeError, match="part 1"):
+            tensor._split(fn, 3)
+        assert sorted(done) == [0, 2]
+
+
+class TestBlasThreads:
+    """lfab holds numpy's OpenBLAS at one thread, so no BLAS worker spins
+    after its calls and takes a core from lfab's own threads."""
+
+    @staticmethod
+    def openblas_threads():
+        """numpy's OpenBLAS thread-count getter, or None."""
+        for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                           "numpy.libs", "*openblas*")):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return getter
+        return None
+
+    def test_no_cpu_burned_after_encode(self):
+        threads = self.openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS that reports its threads")
+        model = encoders.build(resolve_run_config("toy-conformer").encoder, seed=1)
+        rng = np.random.default_rng(71)
+        encoders.encode(model, Tensor(rng.standard_normal((1200, 80)).astype(np.float32)))
+        t0 = time.process_time()
+        time.sleep(0.3)
+        burned = time.process_time() - t0
+        assert threads() == 1
+        assert burned < 0.02, f"{burned:.3f} s of CPU burned while asleep"
+
+    def test_missing_setter_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_OPENBLAS_SETTERS", ("no_such_symbol",))
+        tensor._hold_blas_at_one_thread()
 
 
 class TestMatmulSoftmax:

@@ -14,7 +14,12 @@ from lfab import cli, encoders, frontend, weights
 from lfab.encoders import EncoderConfig
 from lfab.errors import WeightsFormatError
 from lfab.tensor import Tensor
-from lfab.weights import MAGIC, read_weights_file, serialize_weights, write_weights_file
+from lfab.weights import MAGIC, read_weights_file, write_weights_file
+
+
+def serialize_weights(w):
+    """The LFWB bytes write_weights_file streams, whole."""
+    return b"".join(weights._chunks(w))
 
 
 def small_weights():
