@@ -193,12 +193,7 @@ def sweep_rtf(
     duration meets one repeat of each duration it overlaps instead. The
     audio of every duration stays live for the whole sweep.
     """
-    durations = list(durations)
-    if not durations:
-        raise ValueError("durations must be non-empty")
-    if any(b <= a for a, b in zip(durations, durations[1:])):
-        raise ValueError(f"durations must be sorted ascending, got {durations}")
-    _check_repeats(repeats)
+    durations = check_sweep(durations, repeats)
     audios = [frontend.synth_audio(d, seed) for d in durations]
     runs = [[] for _ in durations]
     with _timed_section():
@@ -210,9 +205,16 @@ def sweep_rtf(
     )
 
 
-def _check_repeats(repeats: int) -> None:
+def check_sweep(durations, repeats: int) -> list:
+    """durations as a list; a ValueError unless they and repeats suit sweep_rtf."""
+    durations = list(durations)
+    if not durations:
+        raise ValueError("durations must be non-empty")
+    if any(b <= a for a, b in zip(durations, durations[1:])):
+        raise ValueError(f"durations must be sorted ascending, got {durations}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    return durations
 
 
 def _tracked_run(model: EncoderModel, decoder: str, audio: AudioBuffer):

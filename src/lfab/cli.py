@@ -207,7 +207,6 @@ def _transcribe_file(model: EncoderModel, decoder: str, path):
 
 def cmd_transcribe(args) -> int:
     rc = resolve_run_config(args.config)
-    model = build_model(rc, _effective_seed(rc, args), args.weights)
     if args.audio is not None:
         paths = [args.audio]
     else:
@@ -219,6 +218,7 @@ def cmd_transcribe(args) -> int:
             else os.path.join(base, e.audio_filepath)
             for e in entries
         ]
+    model = build_model(rc, _effective_seed(rc, args), args.weights)
     totals = dict.fromkeys(bench.STAGES, 0.0)
     for path in paths:
         try:
@@ -264,9 +264,9 @@ def _check_out_dir(path: str) -> None:
 def cmd_bench(args) -> int:
     rc = resolve_run_config(args.config)
     _check_out_dir(args.out)
+    durations = bench.check_sweep(_parse_durations(args.durations), args.repeats)
     seed = _effective_seed(rc, args)
     model = build_model(rc, seed, args.weights)
-    durations = _parse_durations(args.durations)
     report = bench.sweep_rtf(model, args.decoder, durations, seed=seed,
                              repeats=args.repeats)
     atomic_write(args.out, [report.csv_text().encode()])

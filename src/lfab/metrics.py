@@ -86,8 +86,8 @@ class ManifestEntry:
     text: str
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < float("inf"):
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
 
 
 def read_manifest(path) -> list[ManifestEntry]:
@@ -118,7 +118,7 @@ def read_manifest(path) -> list[ManifestEntry]:
                 raise ValueError(f"{path}:{lineno}: missing field {e.args[0]!r}") from e
             except (TypeError, ValueError, OverflowError) as e:
                 # a field of the wrong type, e.g. "duration": {"x": 1} or a
-                # non-positive or overflowing duration
+                # non-positive, non-finite or overflowing duration
                 raise ValueError(f"{path}:{lineno}: {e}") from e
     if not entries:
         raise ValueError(f"{path}: empty manifest")

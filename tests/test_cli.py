@@ -549,6 +549,16 @@ class TestManifestStats:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("duration", ["Infinity", "-Infinity"])
+    def test_non_finite_duration_is_input_error(self, capsys, tmp_path, duration):
+        # "Infinity" printed min_min=inf max_min=inf mean_min=inf and exited 0
+        path = tmp_path / "m.json"
+        path.write_text('{"audio_filepath": "a.wav", "duration": ' + duration
+                        + ', "text": "t"}\n')
+        code, out, err = run(capsys, "manifest-stats", "--manifest", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}:1: duration must be positive and finite" in err
+
 
 class TestExitCodes:
     def test_bad_audio_is_2(self, capsys, tmp_path):
@@ -649,6 +659,30 @@ class TestExitCodes:
         assert f"No such file or directory: '{out}'" in err and stdout == ""
         assert calls == []
         assert list(tmp_path.iterdir()) == []
+
+    # {D} is a directory that holds only bad.json
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--durations", "abc"], "bad duration list 'abc'"),
+        (["bench", "--durations", "2,1"], "ascending"),
+        (["bench", "--durations", "1", "--repeats", "0"], "repeats must be >= 1"),
+        (["transcribe", "--manifest", "{D}/m.json"], "No such file"),
+        (["transcribe", "--manifest", "{D}/bad.json"], "bad.json:1: invalid JSON"),
+    ], ids=["bench-durations", "bench-unsorted", "bench-repeats", "transcribe-missing",
+            "transcribe-unparsable"])
+    def test_bad_argument_exits_2_before_the_model_is_built(self, capsys, tmp_path,
+                                                            monkeypatch, argv, message):
+        # each of these used to exit 2 only after the model's weights were drawn
+        def work(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(cli, "build_model", work)
+        (tmp_path / "bad.json").write_text("{not json\n")
+        argv = [a.format(D=tmp_path) for a in argv] + ["--config", "toy-quartznet2"]
+        if argv[0] == "bench":
+            argv += ["--out", str(tmp_path / "b.csv")]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2, err
+        assert message in err and stdout == ""
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -194,6 +194,9 @@ class TestManifest:
         ('{"audio_filepath": "a.wav", "duration": "soon", "text": "x"}', "float"),
         ('{"audio_filepath": "a.wav", "duration": 1' + "0" * 400 + ', "text": "x"}',
          "too large"),
+        # "Infinity" was accepted, and manifest-stats printed min_min=inf
+        *[('{"audio_filepath": "a.wav", "duration": ' + d + ', "text": "x"}',
+           "duration must be positive and finite") for d in ("NaN", "Infinity", "-Infinity")],
         ("[" * 100000, "invalid JSON"),
     ])
     def test_bad_line_is_value_error_naming_the_line(self, tmp_path, line, match):

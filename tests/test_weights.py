@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfab import cli, encoders, frontend, weights
+from lfab import cli, encoders, frontend, tensor, weights
 from lfab.encoders import EncoderConfig
 from lfab.errors import WeightsFormatError
 from lfab.tensor import Tensor
@@ -31,12 +31,12 @@ def small_weights():
     }
 
 
-# values of the one entry of multi_span_weights: over two spans and a part
-MULTI_SPAN_VALUES = (2 * weights._SPAN + 3 * weights._BLOCK) // 4 + 5
+# values of the one entry of multi_span_weights: over 19 blocks and a part
+MULTI_SPAN_VALUES = (19 * weights._BLOCK) // 4 + 5
 
 
 def multi_span_weights():
-    """A small entry read inline, then one read over several pool tasks."""
+    """A small entry of part of one block, then one over many blocks."""
     rng = np.random.default_rng(12)
     return {
         "bias": Tensor(rng.standard_normal(7).astype(np.float32)),
@@ -57,7 +57,7 @@ def read_shrunk(tmp_path, data, size):
     path = tmp_path / "shrunk.lfwb"
     path.write_bytes(data)
     with open(path, "rb") as f:
-        return weights._read_weights(weights._fd_source(f.fileno()), size)
+        return weights._read_weights(f.fileno(), size)
 
 
 class TestRoundTrip:
@@ -84,8 +84,8 @@ class TestRoundTrip:
         assert list(out) == list(w)
 
     def test_entries_over_many_blocks_read_back_identical(self, tmp_path):
-        # entries of one block, one block plus a value, and several spans,
-        # with more pool tasks in flight than threads
+        # entries of one block, one block plus a value, and many blocks,
+        # with more blocks than threads
         rng = np.random.default_rng(13)
         sizes = [weights._BLOCK // 4, weights._BLOCK // 4 + 1, 3, MULTI_SPAN_VALUES]
         w = {f"e{i}": Tensor(rng.standard_normal(n).astype(np.float32))
@@ -219,10 +219,10 @@ class TestFormatErrors:
             with pytest.raises(WeightsFormatError, match="truncated"):
                 read_shrunk(tmp_path, data[:cut], len(data))
 
-    @pytest.mark.parametrize("left", [0, 5, 2 * weights._SPAN + 3])
+    @pytest.mark.parametrize("left", [0, 5, 16 * weights._BLOCK + 3])
     def test_source_ending_inside_a_pooled_entry(self, left, tmp_path):
-        # the short read of an entry read over several spans reports the
-        # entry's bytes read in total, as one read of the entry would
+        # the short read of an entry read over many blocks and threads
+        # reports the entry's bytes read in total, as one read of it would
         data = serialize_weights(multi_span_weights())
         start = len(data) - MULTI_SPAN_VALUES * 4
         with pytest.raises(WeightsFormatError) as e:
@@ -233,7 +233,7 @@ class TestFormatErrors:
     @pytest.mark.parametrize("at", [0, 1, MULTI_SPAN_VALUES - 1])
     @pytest.mark.parametrize("later", ["ndim", "trailing", "truncated"])
     def test_bad_values_reported_before_a_later_header_error(self, at, later, rejects):
-        # the early entry's values are read while later headers are parsed;
+        # the early entry's values are read after later headers are parsed;
         # its NaN is still what is reported, as a sequential read would,
         # before a later entry's infinities and before the header error
         data = bytearray(serialize_weights(multi_span_weights()))
@@ -248,6 +248,40 @@ class TestFormatErrors:
         }[later]
         bad[4:8] = struct.pack("<I", 3 + (later == "ndim"))
         rejects(bytes(bad), "^entry 'big': tensor values must be finite$")
+
+
+class TestThreadCounts:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_same_bytes_and_messages_at_any_thread_count(self, workers, tmp_path,
+                                                         monkeypatch):
+        # a cut and a NaN half way into the big entry, which at 3 threads
+        # holds both part boundaries of the split over the file's blocks
+        data = serialize_weights(multi_span_weights())
+        start = len(data) - MULTI_SPAN_VALUES * 4
+        mid = start + 4 * (MULTI_SPAN_VALUES // 2)
+        nan = bytearray(data)
+        nan[mid:mid + 4] = struct.pack("<f", float("nan"))
+
+        def message(read):
+            with pytest.raises(WeightsFormatError) as e:
+                read()
+            return str(e.value)
+
+        def outcomes():
+            return (serialize_weights(read_bytes(tmp_path, data)),
+                    message(lambda: read_shrunk(tmp_path, data[:mid], len(data))),
+                    message(lambda: read_bytes(tmp_path, bytes(nan))))
+
+        at_n = outcomes()
+        assert at_n == (data,
+                        f"truncated weights file: needed {MULTI_SPAN_VALUES * 4} "
+                        f"bytes at offset {start}, read {mid - start}",
+                        "entry 'big': tensor values must be finite")
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        blocks = 1 + -(-MULTI_SPAN_VALUES * 4 // weights._BLOCK)
+        bounds = [lo for lo, _ in tensor._parts(blocks, 1)[1:]]
+        assert len(bounds) == workers - 1 and all(1 < b < blocks for b in bounds)
+        assert outcomes() == at_n
 
 
 class TestLoadingIntoBuild:
