@@ -10,12 +10,14 @@ one seed; nothing reads ambient entropy. Exit codes: 0 ok, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import json
 import logging
 import math
 import os
+import resource
 import sys
 import time
 
@@ -195,20 +197,34 @@ def _effective_seed(rc: RunConfig, args) -> int:
 # commands
 
 
-def _transcribe_file(model: EncoderModel, decoder: str, path):
-    """bench.run_pipeline on one WAV file, with its samples freed once their
-    features exist, so they are not live during the encoder."""
-    audio = frontend.read_wav(path)
+@contextlib.contextmanager
+def _naming(path):
+    """Name the file in an audio or shape error raised inside."""
+    try:
+        yield
+    except (AudioFormatError, ShapeError) as e:
+        raise AudioFormatError(f"{path}: {e}") from e
+
+
+def _transcribe_file(model: EncoderModel, decoder: str, path, audio: list):
+    """bench.run_pipeline on one WAV file. audio holds the file's
+    AudioBuffer when it was read already; log_mel gets the only reference,
+    so the samples are freed before the features are made."""
+    if not audio:
+        audio.append(frontend.read_wav(path))
     t0 = time.perf_counter()
-    fm = frontend.log_mel(audio)
-    del audio
+    fm = frontend.log_mel(audio.pop())
     return bench.encode_and_decode(model, decoder, fm, time.perf_counter() - t0)
 
 
 def cmd_transcribe(args) -> int:
     rc = resolve_run_config(args.config)
+    audio = []
     if args.audio is not None:
         paths = [args.audio]
+        # read before the model is built, so a bad file fails at once
+        with _naming(args.audio):
+            audio.append(frontend.read_wav(args.audio))
     else:
         entries = metrics.read_manifest(args.manifest)
         base = os.path.dirname(os.path.abspath(args.manifest))
@@ -221,16 +237,14 @@ def cmd_transcribe(args) -> int:
     model = build_model(rc, _effective_seed(rc, args), args.weights)
     totals = dict.fromkeys(bench.STAGES, 0.0)
     for path in paths:
-        try:
-            hyp, stages = _transcribe_file(model, args.decoder, path)
-        except (AudioFormatError, ShapeError) as e:
-            # the transcripts already printed stand; the message names the file
-            raise AudioFormatError(f"{path}: {e}") from e
+        # the transcripts already printed stand; the message names the file
+        with _naming(path):
+            hyp, stages = _transcribe_file(model, args.decoder, path, audio)
         print(hyp.text)
         for key in totals:
             totals[key] += stages[key]
-        log.debug("%s: %d tokens in %.3fs", path, len(hyp.token_ids),
-                  sum(stages.values()))
+        log.debug("%s: %d tokens in %.3fs, peak RSS %.1f MiB", path, len(hyp.token_ids),
+                  sum(stages.values()), _peak_rss_mib())
     # timing goes to stderr so stdout stays byte-identical across runs
     print(
         "timing frontend={frontend_s:.3f}s encoder={encoder_s:.3f}s "
@@ -238,6 +252,13 @@ def cmd_transcribe(args) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def _peak_rss_mib() -> float:
+    """The process's peak resident set so far (ru_maxrss: KiB on Linux,
+    bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def _parse_durations(text: str) -> list[float]:

@@ -35,21 +35,31 @@ NORM_BLOCK = 512
 
 @dataclass
 class AudioBuffer:
-    """Mono float32 audio in [-1, 1] at 16 kHz."""
+    """Mono 16 kHz audio: float32 samples in [-1, 1], or int16 PCM16 samples
+    as a WAV holds them, where v reads as float32(v) / 32768."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float32)
+        if not (isinstance(self.samples, np.ndarray) and self.samples.dtype == np.int16):
+            self.samples = np.asarray(self.samples, dtype=np.float32)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise AudioFormatError("audio must be a non-empty 1-D sample array")
-        peak = float(max(self.samples.max(), -self.samples.min()))
-        if peak > 1.0:
-            raise AudioFormatError(f"samples exceed [-1, 1] (peak {peak:.4g})")
+        if self.samples.dtype == np.float32:
+            peak = float(max(self.samples.max(), -self.samples.min()))
+            if peak > 1.0:
+                raise AudioFormatError(f"samples exceed [-1, 1] (peak {peak:.4g})")
 
     @property
     def duration_s(self) -> float:
         return self.samples.size / SAMPLE_RATE
+
+    def values(self, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
+        """float32 samples lo..hi, into out if given. PCM16 is divided by
+        32768 in float32, which is exact, so a span's values are those of
+        the whole array converted at once."""
+        scale = 32768.0 if self.samples.dtype == np.int16 else 1.0
+        return np.divide(self.samples[lo:hi], np.float32(scale), out=out, dtype=np.float32)
 
 
 @dataclass
@@ -105,14 +115,12 @@ def read_wav(path) -> AudioBuffer:
             f"truncated WAV: the data chunk declares {n} samples, "
             f"the file holds {len(raw)} bytes of them"
         )
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
-    samples /= 32768.0
-    return AudioBuffer(samples)
+    return AudioBuffer(np.frombuffer(raw, dtype="<i2").astype(np.int16, copy=False))
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
     """Write PCM16 mono 16 kHz. Inverse of read_wav up to int16 rounding."""
-    x = np.clip(np.rint(audio.samples.astype(np.float64) * 32768.0), -32768, 32767)
+    x = np.clip(np.rint(audio.values().astype(np.float64) * 32768.0), -32768, 32767)
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
@@ -152,24 +160,28 @@ def _hann_window() -> np.ndarray:
 def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
     """Unnormalized (T, 80) natural-log mel energies, floored at 1e-10.
 
-    The threads split the batches; each part has its own batch buffers."""
+    The threads split the batches; each part has its own batch buffers,
+    the batch's float32 samples among them, so no float32 copy of the
+    whole audio exists."""
     t_frames = num_frames_for(audio.samples.size)
-    # frame f is samples[160 f : 160 f + 400], read through a strided view
-    frames = np.lib.stride_tricks.sliding_window_view(
-        audio.samples, WINDOW_SAMPLES)[::HOP_SAMPLES]
     fb_t = _mel_filterbank().T
     win = _hann_window()
     out = np.empty((t_frames, N_MELS), dtype=np.float64)
     rows = min(STFT_BATCH, t_frames)
 
     def part(b0: int, b1: int) -> None:
+        span = np.empty(HOP_SAMPLES * (rows - 1) + WINDOW_SAMPLES, dtype=np.float32)
         # zero past the window, so rfft needs no padding copy
         windowed = np.zeros((rows, N_FFT), dtype=np.float64)
         power = np.empty((max(rows, MIN_GEMM_ROWS), N_FFT // 2 + 1), dtype=np.float64)
         for lo in range(b0 * STFT_BATCH, min(b1 * STFT_BATCH, t_frames), STFT_BATCH):
             hi = min(lo + STFT_BATCH, t_frames)
             n = hi - lo
-            np.multiply(frames[lo:hi], win, out=windowed[:n, :WINDOW_SAMPLES])
+            # frame f is samples[160 f : 160 f + 400], read through a strided view
+            x = audio.values(HOP_SAMPLES * lo, HOP_SAMPLES * (hi - 1) + WINDOW_SAMPLES,
+                             out=span[: HOP_SAMPLES * (n - 1) + WINDOW_SAMPLES])
+            frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+            np.multiply(frames, win, out=windowed[:n, :WINDOW_SAMPLES])
             spectrum = np.fft.rfft(windowed[:n], axis=1)
             p = power[:n]
             np.square(spectrum.real, out=p)
@@ -188,8 +200,12 @@ def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
 
 
 def log_mel(audio: AudioBuffer) -> FeatureMatrix:
-    """Normalized log-mel features: per-feature zero mean / unit variance."""
+    """Normalized log-mel features: per-feature zero mean / unit variance.
+
+    A caller that hands over its only reference to the audio has the
+    samples freed once the energies exist, before the features are made."""
     y = log_mel_energies(audio)
+    del audio
     t = y.shape[0]
     # numpy's own mean/var sequence, with the mean taken and subtracted once.
     # The axis-0 sum adds rows in order, so the squares are summed in blocks

@@ -10,13 +10,19 @@ Design rules, enforced here so every higher layer inherits them:
   byte-identical;
 - the depthwise conv, the norms, the sigmoid and the time mean work on
   tiles of TILE_BYTES of float64 scratch, reused across the call: blocks of
-  whole rows, or segments of one row when a row is longer than a tile, so
-  no kernel builds a full-size float64 temporary; the dense products cast
-  their weight to float64 in blocks of whole rows of _GEMM_BLOCK_BYTES;
+  whole rows, or segments of one row when a row is longer than a tile;
+  softmax_rows and batched_matmul work on blocks of whole rows or batch
+  entries of a few tiles; the separable conv makes its output in column
+  blocks of at most _BLOCK_COLS columns and _GEMM_BLOCK_BYTES of float64
+  depthwise output; so none
+  of these builds a float64 temporary that grows with the input beyond a
+  block. The dense products cast their weight to float64 in blocks of
+  whole rows of _GEMM_BLOCK_BYTES (their input is widened whole);
 - the thread pool (_split) runs a kernel's loop in contiguous parts, each
   with its own scratch, writing disjoint slices of an output the caller
   owns; no part of a dense product has fewer than MIN_GEMM_ROWS rows or
-  columns, so the bytes are the same at any thread count;
+  columns, so the bytes are the same at any thread count; a split made
+  inside a part runs on that part's thread;
 - signed zeros: a float64 sum that starts at +0.0 is never -0.0, so adding a
   signed zero leaves it unchanged (the depthwise conv's zero-padded taps
   add w * 0.0 = ±0.0), and a sum that starts at its first term instead
@@ -36,6 +42,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -210,26 +217,48 @@ def _pool(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(_WORKERS, thread_name_prefix="lfab")
 
 
+def _even(lo: int, hi: int, k: int) -> list[tuple[int, int]]:
+    """k contiguous (b0, b1) parts of range(lo, hi), as even as can be."""
+    n = hi - lo
+    return [(lo + n * i // k, lo + n * (i + 1) // k) for i in range(k)]
+
+
 def _parts(n: int, min_size: int) -> list[tuple[int, int]]:
     """(lo, hi) parts of range(n), at most _WORKERS of them, as even as can
     be, each at least min_size long unless n itself is shorter."""
-    k = max(1, min(_WORKERS, n // min_size))
-    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+    return _even(0, n, max(1, min(_WORKERS, n // min_size)))
+
+
+# set on a thread while it runs one part of a split over several threads
+_IN_PART = threading.local()
 
 
 def _split(fn, n: int, min_size: int = 1) -> None:
     """Run fn(lo, hi) over _parts(n, min_size): the caller runs part 0 and
     the pool the rest. Returns once every part is done; a part's exception
-    is raised after that."""
+    is raised after that. A split of one part, or a split made inside a
+    part of another (whose threads are all busy), runs fn(0, n) on the
+    calling thread."""
     pool = _pool(os.getpid())
-    (lo, hi), *rest = _parts(n, min_size)
-    futures = [pool.submit(fn, *part) for part in rest]
+    parts = _parts(n, min_size)
+    if len(parts) == 1 or getattr(_IN_PART, "on", False):
+        fn(0, n)
+        return
+    futures = [pool.submit(_run_part, fn, *part) for part in parts[1:]]
     try:
-        fn(lo, hi)
+        _run_part(fn, *parts[0])
     finally:
         wait(futures)
     for f in futures:
         f.result()
+
+
+def _run_part(fn, lo: int, hi: int) -> None:
+    _IN_PART.on = True
+    try:
+        fn(lo, hi)
+    finally:
+        _IN_PART.on = False
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +273,17 @@ TILE_BYTES = 2**18
 # enough to keep each BLAS call at full speed, far below the 171 MiB cast of
 # a whole (4736, 4736) weight
 _GEMM_BLOCK_BYTES = 2**24
+
+# most columns of a separable-conv block, where _GEMM_BLOCK_BYTES would hold
+# more: 82 s of 10 ms frames. Every Table 2 layer at 30 s (at most 2998
+# columns) fits one block, and casting the pointwise weight once per block
+# costs 1/8192 of the block's multiply-adds. A byte bound alone cannot
+# block a long narrow input, such as a toy preset's (80, 12000) at 240 s,
+# without splitting Table 2's (592, 2998), which holds more bytes. Blocks
+# of 4096 columns held 16 MiB more glibc heap on ctc-longform (135.9
+# against 119.3 MiB peak RSS, 2-core Xeon VM), from the churn of their
+# per-block buffers.
+_BLOCK_COLS = 8192
 
 
 def _tiles(rows: int, cols: int, per: int):
@@ -279,12 +319,13 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
     return Tensor._wrap(out32)
 
 
-def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray) -> None:
+def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray, j_off: int = 0) -> None:
     """Depthwise "same" conv of float32 (C, T) by float64 (C, K) taps into out.
 
-    out has (T - 1) // stride + 1 columns. Each output is rounded to float32;
-    out is float32, or float64 when it is the input of the pointwise GEMM
-    that follows. The result is the sum over taps, in order, of
+    out holds output columns j_off onward of the (T - 1) // stride + 1 the
+    whole conv has. Each output is rounded to float32; out is float32, or
+    float64 when it is the input of the pointwise GEMM that follows. The
+    result is the sum over taps, in order, of
     w[c, tap] * x[c, j * stride + tap - pad_l] with padding read as 0.0,
     started at +0.0 and rounded once.
 
@@ -321,7 +362,7 @@ def _depthwise_conv1d(xa, w64, stride: int, out: np.ndarray) -> None:
             cb, w = r1 - r0, j1 - j0
             la = w - 1 + span
             n = (cb - 1) * la + w  # slots up to the block's last output
-            start = j0 * stride - pad_l
+            start = (j_off + j0) * stride - pad_l
             lo, hi = max(start, 0), min(start + stride * la, t)
             x2 = xs[: cb * stride * la].reshape(cb, stride * la)
             x2[:, : lo - start] = 0.0
@@ -367,8 +408,9 @@ def _row_blocks(r0: int, r1: int, k: int):
         yield b0, min(b0 + step, r1)
 
 
-def _gemm(w32: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """float32 (M, K) times (K, N) in float64, rounded once to float32.
+def _gemm(w32: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """float32 (M, K) times (K, N) in float64, rounded once to float32 into
+    out (M, N), or into a new array.
 
     The threads split the product along W's rows when they outnumber x's
     columns, and along x's columns otherwise. Each part casts and
@@ -387,7 +429,8 @@ def _gemm(w32: np.ndarray, x: np.ndarray) -> np.ndarray:
         x64[...] = x
         x = x64
     (m, k), n = w32.shape, x.shape[1]
-    out = np.empty((m, n), dtype=np.float32)
+    if out is None:
+        out = np.empty((m, n), dtype=np.float32)
 
     def part(r0: int, r1: int, c0: int, c1: int) -> None:
         for b0, b1 in _row_blocks(r0, r1, k):
@@ -405,6 +448,16 @@ def depthwise_separable_conv1d(x: Tensor, w_dw: Tensor, w_pw: Tensor, stride: in
 
     w_dw: (C, K), w_pw: (C_out, C). Output length (T - 1) // stride + 1.
     Parameter cost K*C + C*C_out versus K*C*C_out for a dense kernel.
+
+    The output is made in column blocks of at most _BLOCK_COLS columns and
+    _GEMM_BLOCK_BYTES of float64 depthwise output (never under
+    MIN_GEMM_ROWS columns): a block's depthwise tiles go into a float64
+    buffer that the pointwise GEMM then reads, so no (C, T') float64 copy
+    of a long input exists. The threads take parts of at least one
+    block's width; an input of under two blocks is one part, whose
+    depthwise tiles and GEMM the threads split instead, so a wide weight
+    that fits one block is cast once per call. A column's bits do not
+    depend on its block (see _row_blocks).
     """
     if w_dw.ndim != 2:
         raise ShapeError(f"depthwise weight must be rank 2 (C, K), got rank {w_dw.ndim}")
@@ -418,11 +471,34 @@ def depthwise_separable_conv1d(x: Tensor, w_dw: Tensor, w_pw: Tensor, stride: in
     xa = _as2d(x, "conv1d input (channels, time)")
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
-    # the depthwise output goes straight into the float64 input of the
-    # pointwise GEMM, built with np.zeros for the reason given in _gemm
-    y64 = np.zeros((c, (xa.shape[1] - 1) // stride + 1), dtype=np.float64)
-    _depthwise_conv1d(xa, w_dw._a.astype(np.float64), stride, y64)
-    return Tensor._wrap(_gemm(w_pw._a, y64))
+    t_out = (xa.shape[1] - 1) // stride + 1
+    w64 = w_dw._a.astype(np.float64)
+    cols = _block_cols(c)
+    out = None
+    made = threading.Lock()
+
+    def part(j0: int, j1: int) -> None:
+        nonlocal out
+        blocks = _even(j0, j1, max(1, min(-(-(j1 - j0) // cols), (j1 - j0) // MIN_GEMM_ROWS)))
+        # one buffer per part, built with np.zeros for the reason given in _gemm
+        buf = np.zeros(c * max(b1 - b0 for b0, b1 in blocks), dtype=np.float64)
+        for b0, b1 in blocks:
+            y64 = buf[: c * (b1 - b0)].reshape(c, b1 - b0)
+            _depthwise_conv1d(xa, w64, stride, y64, b0)
+            # out is made once a block's depthwise tiles are freed, so a
+            # one-block call peaks where it did before blocks
+            with made:
+                if out is None:
+                    out = np.empty((w_pw.shape[0], t_out), dtype=np.float32)
+            _gemm(w_pw._a, y64, out[:, b0:b1])
+
+    _split(part, t_out, cols)
+    return Tensor._wrap(out)
+
+
+def _block_cols(c: int) -> int:
+    """Columns of a separable-conv block of a C-channel input."""
+    return max(MIN_GEMM_ROWS, min(_BLOCK_COLS, _GEMM_BLOCK_BYTES // (8 * c)))
 
 
 def separable_param_count(c_in: int, c_out: int, k: int) -> int:
@@ -609,7 +685,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def batched_matmul(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
-    """matmul over the last two axes with matching leading batch axes."""
+    """matmul over the last two axes with matching leading batch axes.
+
+    Works in blocks of batch entries whose float64 casts and product fit
+    four tiles (4 * TILE_BYTES), or one entry when an entry is larger; the
+    threads split the blocks. Each entry is its own product, so its bits do
+    not depend on its block."""
     if a.ndim != b.ndim or a.ndim < 2:
         raise ShapeError(f"batched_matmul rank mismatch: {a.shape} vs {b.shape}")
     if a.shape[:-2] != b.shape[:-2]:
@@ -618,16 +699,24 @@ def batched_matmul(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
         raise ShapeError(f"inner axis mismatch: lhs {a.shape} vs rhs {b.shape}")
     (m, k), n = a.shape[-2:], b.shape[-1]
     out = np.empty(a.shape[:-1] + (n,), dtype=np.float32)
-    # the threads split the batch axis; out, not a view of it, is the result
+    # out, not a view of it, is the result
     a3, b3, out3 = a._a.reshape(-1, m, k), b._a.reshape(-1, k, n), out.reshape(-1, m, n)
+    per = max(1, 4 * TILE_BYTES // (8 * (m * k + k * n + m * n)))
+    blocks = _even(0, len(a3), -(-len(a3) // per))
 
     def part(i0: int, i1: int) -> None:
-        y = a3[i0:i1].astype(np.float64) @ b3[i0:i1].astype(np.float64)
-        if scale != 1.0:
-            y *= scale
-        out3[i0:i1] = y
+        most = max(j1 - j0 for j0, j1 in blocks[i0:i1])
+        a64, b64, y = (np.empty((most,) + s, dtype=np.float64) for s in ((m, k), (k, n), (m, n)))
+        for j0, j1 in blocks[i0:i1]:
+            nb = j1 - j0
+            a64[:nb] = a3[j0:j1]
+            b64[:nb] = b3[j0:j1]
+            np.matmul(a64[:nb], b64[:nb], out=y[:nb])
+            if scale != 1.0:
+                y[:nb] *= scale
+            out3[j0:j1] = y[:nb]
 
-    _split(part, len(a3))
+    _split(part, len(blocks))
     return Tensor._wrap(out)
 
 
@@ -663,34 +752,73 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # softmax / argmax
 
 
+def _slabs(shape: tuple[int, ...], per: int) -> list[tuple]:
+    """Index tuples of blocks of whole rows (the last axis) of an array of
+    this shape, in order, each at most per elements, or one row when a row
+    is longer: a slice along the outermost axis whose slabs fit, every
+    later axis whole, and one index on each earlier axis."""
+    if len(shape) == 1:
+        return [()]
+    a, size = len(shape) - 2, shape[-1]
+    while a > 0 and size * shape[a] <= per:
+        size *= shape[a]
+        a -= 1
+    step = max(1, per // size)
+    return [outer + (slice(lo, min(lo + step, shape[a])),)
+            for outer in np.ndindex(*shape[:a]) for lo in range(0, shape[a], step)]
+
+
 def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Row softmax along the last axis with max subtraction.
 
     mask (optional, bool, broadcastable) marks the positions allowed to
     receive weight; masked positions come out exactly 0. A row with every
     position masked is an error.
+
+    Works in blocks of whole rows (_slabs) of at most two tiles
+    (2 * TILE_BYTES) of float64; the threads split the blocks. Each block
+    reads the mask's slice for its rows, which keeps the mask's own shape
+    where it broadcasts, so the mask is never copied to the scores' shape.
     """
-    y = x._a.astype(np.float64)
-    if mask is None:
-        y -= y.max(axis=-1, keepdims=True)
-        np.exp(y, out=y)
-    else:
+    xa = x._a
+    m = None
+    if mask is not None:
         m = np.asarray(mask, dtype=bool)
-        np.broadcast_to(m, y.shape)  # raises unless the mask broadcasts
+        np.broadcast_to(m, xa.shape)  # raises unless the mask broadcasts
         if not m.any(axis=-1).all():
             raise NumericDomainError("empty attention row: all positions masked for some query")
-        # bias and keep have the mask's shape, not the scores'. Zeroing the
-        # masked slots before exp keeps its input finite (exp is slow on
-        # -inf); zeroing them again after gives exp(-inf) = +0.0, as masking
-        # with -inf did.
-        bias = np.where(m, 0.0, -np.inf)
-        y -= (y + bias).max(axis=-1, keepdims=True)
-        keep = m.astype(np.float64)
-        y *= keep
-        np.exp(y, out=y)
-        y *= keep
-    return Tensor._wrap(np.divide(y, y.sum(axis=-1, keepdims=True),
-                                  out=np.empty(x.shape, dtype=np.float32)))
+        m = m.reshape((1,) * (xa.ndim - m.ndim) + m.shape)
+    out = np.empty(xa.shape, dtype=np.float32)
+    per = 2 * TILE_BYTES // 8
+    blocks = _slabs(xa.shape, per)
+
+    def part(i0: int, i1: int) -> None:
+        buf = np.empty(max(xa[idx].size for idx in blocks[i0:i1]), dtype=np.float64)
+        for idx in blocks[i0:i1]:
+            xb = xa[idx]
+            y = buf[: xb.size].reshape(xb.shape)
+            y[...] = xb
+            if m is None:
+                y -= y.max(axis=-1, keepdims=True)
+                np.exp(y, out=y)
+            else:
+                keep = m[tuple(i if m.shape[ax] > 1 else 0 if isinstance(i, int) else slice(None)
+                               for ax, i in enumerate(idx))]
+                drop = ~keep
+                # -inf in the masked slots for the max, then +0.0 before
+                # exp, which keeps its input finite (exp is slow on -inf),
+                # and +0.0 again after, as exp(-inf) gives. Where the max
+                # is a zero, its sign reaches only zero exp inputs, and
+                # exp(-0.0) == exp(+0.0).
+                np.copyto(y, -np.inf, where=drop)
+                y -= y.max(axis=-1, keepdims=True)
+                np.copyto(y, 0.0, where=drop)
+                np.exp(y, out=y)
+                y *= keep
+            np.divide(y, y.sum(axis=-1, keepdims=True), out=out[idx])
+
+    _split(part, len(blocks))
+    return Tensor._wrap(out)
 
 
 def argmax_rows(x: Tensor) -> np.ndarray:

@@ -176,10 +176,13 @@ class TestMemoryModel:
     @pytest.mark.parametrize("preset", sorted(p for p in cli.PRESETS if p.startswith("toy-")))
     def test_heap_peak_within_2x(self, preset):
         # the measured heap, kernel temporaries included, against the model;
-        # the features are live during encode on both sides
+        # the features are live during encode on both sides. At 30 s the
+        # kernels' fixed scratch, which the model leaves out, is most of the
+        # excess (up to 1.90 on the SE presets, at 2 workers); at 120 s no
+        # kernel holds a whole-input float64 copy (up to 1.46, from 1.91)
         rc = cli.resolve_run_config(preset)
         model = encoders.build(rc.encoder, seed=0)
-        for seconds in (30, 120):
+        for seconds, ratio in ((30, 1.95), (120, 1.5)):
             feats = frontend.log_mel(frontend.synth_audio(seconds, seed=1)).frames
             gc.collect()
             tracemalloc.start()
@@ -190,7 +193,7 @@ class TestMemoryModel:
             finally:
                 tracemalloc.stop()
             predicted = predict_peak_bytes(rc.encoder, feats.shape[0])
-            assert heap + feats.nbytes <= 2 * predicted, (seconds, (heap + feats.nbytes) / predicted)
+            assert heap + feats.nbytes <= ratio * predicted, (seconds, (heap + feats.nbytes) / predicted)
 
 
 class TestFindMaxDuration:

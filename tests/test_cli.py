@@ -2,7 +2,10 @@
 
 import decimal
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -307,6 +310,26 @@ class TestTranscribe:
                              "--audio", tone_wav, "--decoder", decoder)
             assert code == 0
         assert alive_at_encode == [False, False]
+
+    def test_debug_log_reports_peak_rss_on_stderr_only(self, tmp_path, tone_wav):
+        # a run of its own process, so logging is set up as a user's is
+        (tmp_path / "m.json").write_text("".join(
+            json.dumps({"audio_filepath": tone_wav, "duration": 2.0, "text": ""}) + "\n"
+            for _ in range(2)))
+        argv = [sys.executable, "-m", "lfab.cli", "transcribe", "--config", "toy-quartznet2",
+                "--manifest", str(tmp_path / "m.json")]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        env.pop("LFAB_LOG", None)
+        plain = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        debug = subprocess.run(argv, env=dict(env, LFAB_LOG="debug"), capture_output=True,
+                               text=True, check=True)
+        assert debug.stdout == plain.stdout and plain.stdout.count("\n") == 2
+        lines = [ln for ln in debug.stderr.splitlines() if "peak RSS" in ln]
+        assert len(lines) == 2, debug.stderr
+        for line in lines:
+            assert line.startswith(f"DEBUG lfab: {tone_wav}: ")
+            assert float(line.rsplit("peak RSS ", 1)[1].removesuffix(" MiB")) > 0
+        assert "peak RSS" not in plain.stderr
 
     def test_weights_file_matches_seeded_build(self, capsys, tone_wav, tmp_path):
         wpath = tmp_path / "w.lfwb"
@@ -624,15 +647,15 @@ class TestExitCodes:
         (["score", "--ref-file", "{F}/x", "--hyp-file", "{F}"], "{F}/x"),
         (["manifest-stats", "--manifest", "{F}/m.json"], "{F}/m.json"),
         (["transcribe", "--config", "toy-quartznet2", "--manifest", "{F}/m.json"], "{F}/m.json"),
-        (["transcribe", "--config", "toy-quartznet2", "--weights", "{F}/w", "--audio", "{F}"],
+        (["transcribe", "--config", "toy-quartznet2", "--weights", "{F}/w", "--audio", "{A}"],
          "{F}/w"),
     ], ids=["gen-weights", "gen-weights-long-name", "bench", "bench-missing-dir", "score",
             "manifest-stats", "transcribe-manifest", "transcribe-weights"])
-    def test_os_error_on_a_user_path_is_2(self, capsys, tmp_path, argv, bad):
+    def test_os_error_on_a_user_path_is_2(self, capsys, tmp_path, tone_wav, argv, bad):
         # the NotADirectoryError and ENAMETOOLONG cases exited 5 with a traceback
         f = tmp_path / "file"
         f.write_text("x")
-        argv = [a.format(F=f, D=tmp_path) for a in argv]
+        argv = [a.format(F=f, D=tmp_path, A=tone_wav) for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2, err
         assert bad.format(F=f, D=tmp_path) in err and ".tmp" not in err
@@ -667,8 +690,11 @@ class TestExitCodes:
         (["bench", "--durations", "1", "--repeats", "0"], "repeats must be >= 1"),
         (["transcribe", "--manifest", "{D}/m.json"], "No such file"),
         (["transcribe", "--manifest", "{D}/bad.json"], "bad.json:1: invalid JSON"),
+        (["transcribe", "--audio", "{D}/gone.wav"],
+         "gone.wav: not a readable RIFF wav file: No such file"),
+        (["transcribe", "--audio", "{D}/bad.json"], "bad.json: not a readable RIFF wav file"),
     ], ids=["bench-durations", "bench-unsorted", "bench-repeats", "transcribe-missing",
-            "transcribe-unparsable"])
+            "transcribe-unparsable", "transcribe-audio-missing", "transcribe-audio-not-wav"])
     def test_bad_argument_exits_2_before_the_model_is_built(self, capsys, tmp_path,
                                                             monkeypatch, argv, message):
         # each of these used to exit 2 only after the model's weights were drawn

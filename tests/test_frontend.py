@@ -171,6 +171,16 @@ class TestThreads:
             got.add(frontend.log_mel(audio).frames.array.tobytes())
         assert len(got) == 1
 
+    def test_wav_features_match_float32_audio(self, tmp_path, monkeypatch):
+        # the PCM16 path gives the bits of the same samples as float32
+        path = tmp_path / "u.wav"
+        frontend.write_wav(path, audio_with_frames(frontend.STFT_BATCH * 3 + 5, seed=8))
+        pcm = frontend.read_wav(path)
+        want = frontend.log_mel(AudioBuffer(pcm.values())).frames.array.tobytes()
+        for workers in (1, 3):
+            monkeypatch.setattr(tensor, "_WORKERS", workers)
+            assert frontend.log_mel(pcm).frames.array.tobytes() == want
+
 
 class TestMemory:
     def test_log_mel_heap_peak(self, monkeypatch):
@@ -184,6 +194,41 @@ class TestMemory:
         workers = max(2, tensor._WORKERS)
         monkeypatch.setattr(tensor, "_WORKERS", workers)
         self.check_heap_peak(workers)
+
+    def test_wav_pass_holds_no_float32_copy_of_the_audio(self, tmp_path, monkeypatch):
+        # read_wav keeps the PCM16 bytes wave returns and each batch
+        # converts its own span, so no float32 copy of the audio exists
+        # (4 bytes per sample, 20 per cell); log_mel frees the samples once
+        # the energies exist, so the features (4 bytes per cell) are not
+        # made next to them. At 600 s either would put the peak over the
+        # PCM16 bytes, the energies, each worker's batch buffers and one
+        # byte per cell of slack (rfft's own scratch).
+        workers = max(2, tensor._WORKERS)
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        path = tmp_path / "long.wav"
+        frontend.write_wav(path, frontend.synth_audio(600.0, seed=3))
+        n = 600 * frontend.SAMPLE_RATE
+        cells = frontend.num_frames_for(n) * frontend.N_MELS
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            frontend.log_mel(frontend.read_wav(path))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n + 8 * cells + cells + self.batch_buffers(workers)
+
+    @staticmethod
+    def batch_buffers(workers):
+        """Per worker: the batch's float32 samples, windowed frames, power,
+        the complex spectrum and its squared imaginary part; then the
+        variance's block of squares."""
+        rows, bins = frontend.STFT_BATCH, frontend.N_FFT // 2 + 1
+        span = 4 * (frontend.HOP_SAMPLES * (rows - 1) + frontend.WINDOW_SAMPLES)
+        return (workers * (span + 8 * rows * frontend.N_FFT + 8 * rows * bins
+                           + 16 * rows * bins + 8 * rows * bins)
+                + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS)
 
     @staticmethod
     def check_heap_peak(workers):
@@ -212,15 +257,20 @@ class TestWavIO:
         f = tmp_path / "one.wav"
         write_pcm16(f, [32767, 0, -32768, 0])
         audio = frontend.read_wav(f)
-        assert audio.samples[0] == np.float32(32767 / 32768)
-        assert audio.samples[2] == np.float32(-1.0)
+        assert audio.samples.dtype == np.int16  # the PCM16 buffer wave returned
+        assert audio.values()[0] == np.float32(32767 / 32768)
+        assert audio.values()[2] == np.float32(-1.0)
 
     def test_every_pcm_value_scales_like_float32_division(self, tmp_path):
         ints = np.arange(-32768, 32768, dtype=np.int64)
         f = tmp_path / "all.wav"
         write_pcm16(f, ints)
         want = ints.astype("<i2").astype(np.float32) / 32768.0
-        assert frontend.read_wav(f).samples.tobytes() == want.tobytes()
+        audio = frontend.read_wav(f)
+        assert audio.values().tobytes() == want.tobytes()
+        # and any span, as the front end's batches read them
+        for lo, hi in ((0, 1), (1000, 41200), (65535, 65536), (32768, None)):
+            assert audio.values(lo, hi).tobytes() == want[lo:hi].tobytes()
 
     def test_wrong_rate_message(self, tmp_path):
         f = tmp_path / "r8k.wav"

@@ -3,6 +3,7 @@
 import ctypes
 import glob
 import os
+import sys
 import time
 import tracemalloc
 
@@ -13,6 +14,11 @@ from lfab import encoders, tensor
 from lfab.cli import PRESETS, resolve_run_config
 from lfab.errors import NumericDomainError, ShapeError
 from lfab.tensor import Tensor
+
+
+# a worker count above one on any machine; on fewer CPUs the pool's
+# threads take the parts in turn
+N_WORKERS = max(2, tensor._WORKERS)
 
 
 def same_pad(k):
@@ -349,6 +355,99 @@ class TestSeparableConv:
             tensor.depthwise_separable_conv1d(x, Tensor(np.ones((4, 3))), Tensor(np.ones((2, 5))))
 
 
+def record_blocks(monkeypatch):
+    """Spy on tensor._depthwise_conv1d: a list of (first column, width) of
+    each column block the separable conv computes."""
+    calls = []
+    real = tensor._depthwise_conv1d
+
+    def spy(xa, w64, stride, out, j_off=0):
+        calls.append((j_off, out.shape[1]))
+        real(xa, w64, stride, out, j_off)
+
+    monkeypatch.setattr(tensor, "_depthwise_conv1d", spy)
+    return calls
+
+
+class TestSeparableColumnBlocks:
+    """The separable conv makes its output in column blocks of at most
+    _BLOCK_COLS columns and _GEMM_BLOCK_BYTES of float64 depthwise output,
+    the bytes patched small here: at exact multiples of a block, one
+    column over, and at widths that leave a remainder under MIN_GEMM_ROWS,
+    every column keeps the bits of the unblocked conv (the whole depthwise
+    output, then one whole product)."""
+
+    @pytest.mark.parametrize("workers", [1, N_WORKERS])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", range(3, 10))
+    @pytest.mark.parametrize("cols", [40, tensor.MIN_GEMM_ROWS])
+    def test_block_edges_match_unblocked(self, monkeypatch, workers, stride, k, cols):
+        c, c_out = 8, 24
+        rng = np.random.default_rng(100 * k + 10 * stride + cols)
+        w_dw = rng.standard_normal((c, k)).astype(np.float32)
+        w_pw = rng.standard_normal((c_out, c)).astype(np.float32)
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        monkeypatch.setattr(tensor, "_GEMM_BLOCK_BYTES", 8 * c * cols)
+        blocks = record_blocks(monkeypatch)
+        m = tensor.MIN_GEMM_ROWS
+        for t_out in (1, m - 1, cols, cols + 1, 2 * cols, 2 * cols + 1, 3 * cols + m - 1,
+                      4 * cols + m, 5 * cols - 1):
+            x = signed_zero_input(rng, (c, stride * (t_out - 1) + 1))
+            y64 = conv1d_reference(x, w_dw[:, None, :], stride, groups=c).astype(np.float64)
+            blocks.clear()
+            got = tensor.depthwise_separable_conv1d(Tensor(x), Tensor(w_dw), Tensor(w_pw), stride)
+            assert got.array.tobytes() == gemm_reference(w_pw, y64).tobytes(), t_out
+            # the blocks tile the output, each at least MIN_GEMM_ROWS wide
+            # (or the whole output) and at most a block unless that would
+            # leave one narrower
+            assert [j for j, _ in sorted(blocks)] == list(
+                np.cumsum([0] + [w for _, w in sorted(blocks)])[:-1])
+            assert sum(w for _, w in blocks) == t_out
+            assert all(m <= w or w == t_out for _, w in blocks)
+            assert all(w <= cols or w < 2 * m for _, w in blocks)
+            if t_out >= 2 * cols:
+                assert len(blocks) >= 2
+
+    def test_parts_share_one_output_under_thread_switches(self, monkeypatch):
+        # more workers than cores and a short switch interval: the parts
+        # race to make the shared output, and a part that made its own
+        # would leave its columns out of the result
+        monkeypatch.setattr(tensor, "_WORKERS", 6)
+        monkeypatch.setattr(tensor, "_GEMM_BLOCK_BYTES", 8 * 8 * 16)
+        rng = np.random.default_rng(73)
+        x = signed_zero_input(rng, (8, 500))
+        w_dw = rng.standard_normal((8, 5)).astype(np.float32)
+        w_pw = rng.standard_normal((12, 8)).astype(np.float32)
+        y64 = conv1d_reference(x, w_dw[:, None, :], 1, groups=8).astype(np.float64)
+        want = gemm_reference(w_pw, y64).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = tensor.depthwise_separable_conv1d(Tensor(x), Tensor(w_dw), Tensor(w_pw))
+                assert got.array.tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_table2_shapes_are_one_block_and_long_inputs_are_not(self):
+        # every separable layer of the table2 presets at 30 s of audio runs
+        # as one block, so no wide weight is cast twice in a call, while
+        # the toy presets' first layers at 240 s take several
+        def widths(prefix, seconds):
+            for name in PRESETS:
+                if name.startswith(prefix):
+                    t = (seconds * 16000 - 400) // 160 + 1
+                    for s in encoders.conv_schedule(resolve_run_config(name).encoder):
+                        t = (t - 1) // s.stride + 1
+                        yield name, s, t
+
+        for name, s, t in widths("table2-", 30):
+            assert t <= tensor._block_cols(s.c_in), (name, s.name, t)
+        for name, s, t in widths("toy-", 240):
+            if s.c_in == 80:
+                assert t > tensor._block_cols(s.c_in), (name, s.name, t)
+
+
 class TestNorms:
     def test_batch_norm_bits_match_out_of_place_formula(self):
         rng = np.random.default_rng(31)
@@ -522,11 +621,6 @@ def heap_peak_over_output(fn, *args):
     return peak - out.nbytes
 
 
-# a worker count above one on any machine; on fewer CPUs the pool's
-# threads take the parts in turn
-N_WORKERS = max(2, tensor._WORKERS)
-
-
 class TestTiledScratchBound:
     """No tiled kernel builds a full-size float64 temporary: its heap peak is
     its output plus a few tiles per worker, however long the time axis. Each
@@ -585,6 +679,50 @@ class TestTiledScratchBound:
         # the parts share the cast blocks' budget; each has its own tiles
         bound = 8 * c * t + 2 * tensor._GEMM_BLOCK_BYTES + workers * 6 * tensor.TILE_BYTES
         assert extra <= bound, f"{extra} bytes of scratch over {bound}"
+
+    @pytest.mark.parametrize("workers", [1, N_WORKERS])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("block_bytes", [None, 2**18])
+    def test_separable_conv_holds_a_few_blocks(self, monkeypatch, workers, stride, block_bytes):
+        # no (C, T') float64 copy of a long input: each worker holds one
+        # column block of depthwise output and its float64 product (here
+        # as wide as the block), plus its depthwise tiles, however long T is
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        if block_bytes is not None:
+            monkeypatch.setattr(tensor, "_GEMM_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(67)
+        c, t = 64, 60000
+        x = Tensor(rng.standard_normal((c, t)).astype(np.float32))
+        w_dw = Tensor(rng.standard_normal((c, 5)).astype(np.float32))
+        w_pw = Tensor(rng.standard_normal((c, c)).astype(np.float32))
+        extra = heap_peak_over_output(tensor.depthwise_separable_conv1d, x, w_dw, w_pw, stride)
+        bound = workers * (2 * 8 * c * tensor._block_cols(c) + 6 * tensor.TILE_BYTES)
+        assert extra <= bound, f"{extra} bytes of scratch over {bound}"
+
+    @pytest.mark.parametrize("workers", [1, N_WORKERS])
+    def test_chunked_attention_kernels_hold_a_few_tiles(self, monkeypatch, workers):
+        # the chunked band's (H, chunks, cs, slots) scores at 600 s of the
+        # toy LCA presets: softmax_rows and batched_matmul hold a few tiles
+        # per worker, and the (1, chunks, cs, slots) mask is not copied to
+        # the scores' shape
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        rng = np.random.default_rng(71)
+        h, n, cs, slots, dh = 4, 188, 40, 73, 16
+        scores = Tensor(rng.standard_normal((h, n, cs, slots)).astype(np.float32))
+        band = np.arange(slots)[None, :] - np.arange(cs)[:, None]
+        mask = np.broadcast_to((band >= 0) & (band <= 32), (n, cs, slots)).copy()
+        q = Tensor(rng.standard_normal((h, n, cs, dh)).astype(np.float32))
+        kw = Tensor(rng.standard_normal((h, n, dh, slots)).astype(np.float32))
+        vw = Tensor(rng.standard_normal((h, n, slots, dh)).astype(np.float32))
+        bound = workers * 6 * tensor.TILE_BYTES
+        for name, fn, args in (
+            ("softmax_rows", tensor.softmax_rows, (scores, mask[None])),
+            ("softmax_rows unmasked", tensor.softmax_rows, (scores,)),
+            ("batched_matmul scores", tensor.batched_matmul, (q, kw, 0.25)),
+            ("batched_matmul context", tensor.batched_matmul, (scores, vw)),
+        ):
+            extra = heap_peak_over_output(fn, *args)
+            assert extra <= bound, f"{name}: {extra} bytes of scratch over {bound}"
 
 
 def separable_shapes():
@@ -715,6 +853,9 @@ class TestSplitProducts:
     @pytest.mark.parametrize("lead", [(2,), (3,), (7,), (4, 5), (1,)])
     def test_batched_matmul_matches_whole(self, monkeypatch, workers, lead):
         monkeypatch.setattr(tensor, "_WORKERS", workers)
+        # four tiles hold one entry's float64 a, b and product, so each
+        # entry is a block of its own
+        monkeypatch.setattr(tensor, "TILE_BYTES", 8 * (19 * 8 + 8 * 23 + 19 * 23) // 4)
         rng = np.random.default_rng(sum(lead) + workers)
         a = signed_zero_input(rng, (int(np.prod(lead)) * 19, 8)).reshape(*lead, 19, 8)
         b = signed_zero_input(rng, (int(np.prod(lead)) * 8, 23)).reshape(*lead, 8, 23)
@@ -861,6 +1002,52 @@ class TestMatmulSoftmax:
             x = (rng.standard_normal((4, n, cs, m.shape[-1])) * 9).astype(np.float32)
             got = tensor.softmax_rows(Tensor(x), m[None])
             assert got.array.tobytes() == softmax_reference(x, m[None]).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, N_WORKERS])
+    @pytest.mark.parametrize("per", [73, 15 * 73, 2 * 40 * 73 - 1, 3 * 40 * 73,
+                                     5 * 40 * 73 + 1, 10**9])
+    def test_softmax_blocks_match_reference(self, monkeypatch, workers, per):
+        # blocks of one row, of partial and whole chunks with remainders,
+        # and one block; a mask broadcast over heads, over heads and
+        # chunks, over rows, and none
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        monkeypatch.setattr(tensor, "TILE_BYTES", 8 * per // 2)
+        rng = np.random.default_rng(per % 1000)
+        h, n, cs, win = 3, 7, 40, 73
+        band = np.arange(win)[None, :] - np.arange(cs)[:, None]
+        mask = np.broadcast_to((band >= 0) & (band <= 32), (n, cs, win)).copy()
+        mask[0, :, :16] = False
+        mask[-1, 30:, :] = False
+        mask[-1, 30:, 0] = True
+        x = (rng.standard_normal((h, n, cs, win)) * 9).astype(np.float32)
+        x[:, ~mask] += np.float32(2000.0)
+        for m in (mask[None], mask[:1, :, :][None], mask[:1, :1], None):
+            got = tensor.softmax_rows(Tensor(x), m)
+            assert got.array.tobytes() == softmax_reference(x, m).tobytes()
+        blocks = tensor._slabs(x.shape, per)
+        covered = np.zeros(x.shape[:-1], dtype=int)
+        for idx in blocks:
+            covered[idx] += 1
+            assert x[idx].size <= max(per, win)
+        assert (covered == 1).all()
+
+    @pytest.mark.parametrize("workers", [1, N_WORKERS])
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 1000])
+    def test_batched_matmul_blocks_match_whole(self, monkeypatch, workers, per_block):
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        m, k, n = 40, 16, 73
+        monkeypatch.setattr(tensor, "TILE_BYTES", per_block * 8 * (m * k + k * n + m * n) // 4)
+        rng = np.random.default_rng(per_block)
+        a = signed_zero_input(rng, (4 * 7 * m, k)).reshape(4, 7, m, k)
+        b = signed_zero_input(rng, (4 * 7 * k, n)).reshape(4, 7, k, n)
+        want = a.astype(np.float64) @ b.astype(np.float64)
+        got = tensor.batched_matmul(Tensor(a), Tensor(b), scale=0.25).array
+        assert got.tobytes() == (want * 0.25).astype(np.float32).tobytes()
+        # and the (m, n) by (n, k) shape of attention's context product
+        p = signed_zero_input(rng, (4 * 7 * m, n)).reshape(4, 7, m, n)
+        v = signed_zero_input(rng, (4 * 7 * n, k)).reshape(4, 7, n, k)
+        want = (p.astype(np.float64) @ v.astype(np.float64)).astype(np.float32)
+        assert tensor.batched_matmul(Tensor(p), Tensor(v)).array.tobytes() == want.tobytes()
 
     def test_fully_masked_row_raises(self):
         x = Tensor(np.ones((2, 3)))
