@@ -93,7 +93,10 @@ def read_wav(path) -> AudioBuffer:
             n = wf.getnframes()
             raw = wf.readframes(n)
     except (wave.Error, EOFError, OSError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # the caller names the path
+        # the caller names the path; wave raises a bare EOFError when the
+        # file ends inside its RIFF header or its fmt chunk
+        reason = (getattr(exc, "strerror", None) or str(exc)
+                  or "file ends before its RIFF and fmt headers are complete")
         raise AudioFormatError(f"not a readable RIFF wav file: {reason}") from exc
     except RuntimeError as exc:
         # wave raises a bare RuntimeError when a chunk it skips runs past

@@ -6,18 +6,23 @@ integer and float is little-endian. Names must be unique and the byte
 length of the file is exactly determined by its headers; anything else is
 a format error.
 
-Files are streamed both ways: the reader reads each entry's values straight
-into the array its Tensor keeps, and the writer writes each array's own
-buffer, so neither ever holds a whole-file copy next to the model. The
-reader parses every header first, then reads the values of all entries in
-one split over lfab's threads, block by block, each block finite-checked
-while it is still in cache; errors are reported as a sequential read would
-find them.
+The reader maps the file read-only and parses it in one pass, in file
+order: each length is claimed against the bytes left before it is read,
+each entry's values are finite-checked a block at a time, and each entry's
+Tensor is a view of the mapped pages, so loading copies no value. The
+writer streams each array's own buffer. Neither holds a whole-file copy
+next to the model.
+
+The map lives as long as any Tensor read from it. Truncating or rewriting
+the file in place meanwhile ends the process with SIGBUS when a page that
+is gone is touched; replacing it by rename, as atomic_write does, leaves
+the loaded Tensors intact.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import tempfile
@@ -26,7 +31,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .errors import WeightsFormatError
-from .tensor import TILE_BYTES, Tensor, _split
+from .tensor import TILE_BYTES, Tensor
 
 MAGIC = b"LFWB"
 _MAX_NDIM = 8
@@ -67,68 +72,45 @@ def write_weights_file(path, weights: dict[str, Tensor]) -> None:
     atomic_write(path, _chunks(weights))
 
 
-# Values are read and finite-checked one block at a time, so each block is
-# checked while it is still in a core's L2 cache and the check's mask is a
-# quarter block. Smaller blocks lose more to the threads' turns at the
-# interpreter lock than they gain in cache.
+# Values are finite-checked one block of this many bytes at a time, so the
+# check's mask is a quarter block whatever the entry's size.
 _BLOCK = 4 * TILE_BYTES
 
 
-def _pread(fd: int, buf: memoryview, offset: int) -> int:
-    """Fill buf from the file at offset: the bytes read, fewer only where the
-    file ends. os.preadv moves no file position, so threads share fd."""
-    got = 0
-    while got < len(buf):
-        n = os.preadv(fd, [buf[got:]], offset + got)
-        if n == 0:
-            break
-        got += n
-    return got
-
-
 class _Reader:
-    """Parses an open file of known size, checking each length before it
-    reads."""
+    """Parses a buffer, checking each length against the bytes left before
+    it reads."""
 
-    def __init__(self, fd: int, size: int):
-        self.fd = fd
-        self.size = size
+    def __init__(self, buf):
+        self.buf = buf
         self.pos = 0
 
     def claim(self, n: int) -> int:
-        if n > self.size - self.pos:
+        left = len(self.buf) - self.pos
+        if n > left:
             raise WeightsFormatError(
                 f"truncated weights file: needed {n} bytes at offset {self.pos}, "
-                f"have {self.size - self.pos}"
+                f"have {left}"
             )
         self.pos += n
         return self.pos - n
 
     def take(self, n: int) -> bytes:
         offset = self.claim(n)
-        buf = bytearray(n)
-        _check_read(_pread(self.fd, memoryview(buf), offset), n, offset)
-        return bytes(buf)
+        return self.buf[offset:offset + n]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _check_read(got: int, n: int, offset: int) -> None:
-    # the file ended before its stated size (it shrank)
-    if got != n:
-        raise WeightsFormatError(
-            f"truncated weights file: needed {n} bytes at offset {offset}, "
-            f"read {got}"
-        )
-
-
-def _parse(cur: _Reader, entries: list) -> dict[str, Tensor]:
-    """Parse every header, appending (name, offset, byte view of the
-    unread array) to entries in file order."""
+def _parse(buf) -> dict[str, Tensor]:
+    """The one LFWB parser: every entry in file order, each a Tensor over a
+    view of buf."""
+    cur = _Reader(buf)
     if cur.take(4) != MAGIC:
         raise WeightsFormatError(f"bad magic, expected {MAGIC!r}")
     count = cur.u32()
+    per = _BLOCK // 4  # values per finite-check block
     weights: dict[str, Tensor] = {}
     for _ in range(count):
         name_len = cur.u32()
@@ -146,59 +128,23 @@ def _parse(cur: _Reader, entries: list) -> dict[str, Tensor]:
         dims = struct.unpack(f"<{ndim}I", cur.take(4 * ndim))
         if any(d < 1 for d in dims):
             raise WeightsFormatError(f"entry {name!r} has zero-sized dim {dims}")
-        # claimed before allocating, so a corrupt header cannot ask for more
-        # memory than the file holds
-        offset = cur.claim(4 * math.prod(dims))
-        arr = np.empty(dims, dtype="<f4")
-        # the view is taken while arr is writeable; its Tensor is not
-        entries.append((name, offset, memoryview(arr).cast("B")))
-        weights[name] = Tensor._wrap(arr)
-    if cur.pos != cur.size:
-        raise WeightsFormatError(f"{cur.size - cur.pos} trailing bytes after last entry")
-    return weights
-
-
-def _read_values(fd: int, entries: list) -> None:
-    """Read every entry's values in one _split over their blocks; raise the
-    first entry, in file order, whose read came up short or holds a
-    non-finite value."""
-    blocks = [(raw[b0:b0 + _BLOCK], offset + b0)
-              for _, offset, raw in entries for b0 in range(0, len(raw), _BLOCK)]
-    done: list = [None] * len(blocks)
-
-    def part(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            block, offset = blocks[i]
-            n = _pread(fd, block, offset)
-            done[i] = n, n == len(block) and bool(
-                np.isfinite(np.frombuffer(block, "<f4")).all())
-
-    _split(part, len(blocks))
-    i = 0
-    for name, offset, raw in entries:
-        k = -(-len(raw) // _BLOCK)  # the entry's blocks
-        reads, i = done[i:i + k], i + k
-        _check_read(sum(n for n, _ in reads), len(raw), offset)
-        if not all(ok for _, ok in reads):
+        # claimed before any value is looked at, so a corrupt header cannot
+        # reach past the end of the file
+        size = math.prod(dims)
+        values = np.frombuffer(buf, "<f4", size, cur.claim(4 * size))
+        if not all(np.isfinite(values[v0:v0 + per]).all() for v0 in range(0, size, per)):
             raise WeightsFormatError(f"entry {name!r}: tensor values must be finite")
-
-
-def _read_weights(fd: int, size: int) -> dict[str, Tensor]:
-    """The one LFWB parser, over an open file that holds size bytes. Every
-    header is parsed, claimed and allocated first; then the values of every
-    entry parsed are read, and an entry's short read or non-finite value is
-    raised before any header error."""
-    entries: list = []
-    try:
-        weights = _parse(_Reader(fd, size), entries)
-    except WeightsFormatError:
-        _read_values(fd, entries)
-        raise
-    _read_values(fd, entries)
+        weights[name] = Tensor._wrap(values.reshape(dims))
+    if cur.pos != len(buf):
+        raise WeightsFormatError(f"{len(buf) - cur.pos} trailing bytes after last entry")
     return weights
 
 
 def read_weights_file(path) -> dict[str, Tensor]:
+    """Parse the file through a read-only map; its Tensors are views of the
+    mapped pages, which stay mapped while any of them lives."""
     with open(path, "rb") as f:
         fd = f.fileno()
-        return _read_weights(fd, os.fstat(fd).st_size)
+        # a 0-byte file cannot be mapped
+        buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ) if os.fstat(fd).st_size else b""
+    return _parse(buf)

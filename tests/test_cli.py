@@ -583,6 +583,11 @@ class TestManifestStats:
         assert f"{path}:1: duration must be positive and finite" in err
 
 
+# WAV files too short to hold a RIFF header, on which wave raises a bare
+# EOFError
+HEADERLESS_WAVS = {"empty.wav": b"", "one.wav": b"x", "riff.wav": b"RIFF"}
+
+
 class TestExitCodes:
     def test_bad_audio_is_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.wav"
@@ -683,7 +688,8 @@ class TestExitCodes:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
-    # {D} is a directory that holds only bad.json
+    # {D} is a directory that holds bad.json and the 0-, 1- and 4-byte WAVs
+    # of HEADERLESS_WAVS
     @pytest.mark.parametrize("argv, message", [
         (["bench", "--durations", "abc"], "bad duration list 'abc'"),
         (["bench", "--durations", "2,1"], "ascending"),
@@ -693,8 +699,12 @@ class TestExitCodes:
         (["transcribe", "--audio", "{D}/gone.wav"],
          "gone.wav: not a readable RIFF wav file: No such file"),
         (["transcribe", "--audio", "{D}/bad.json"], "bad.json: not a readable RIFF wav file"),
-    ], ids=["bench-durations", "bench-unsorted", "bench-repeats", "transcribe-missing",
-            "transcribe-unparsable", "transcribe-audio-missing", "transcribe-audio-not-wav"])
+    ] + [(["transcribe", "--audio", "{D}/" + name],
+          f"{name}: not a readable RIFF wav file: file ends before its RIFF and fmt "
+          "headers are complete") for name in HEADERLESS_WAVS],
+        ids=["bench-durations", "bench-unsorted", "bench-repeats", "transcribe-missing",
+             "transcribe-unparsable", "transcribe-audio-missing", "transcribe-audio-not-wav",
+             *HEADERLESS_WAVS])
     def test_bad_argument_exits_2_before_the_model_is_built(self, capsys, tmp_path,
                                                             monkeypatch, argv, message):
         # each of these used to exit 2 only after the model's weights were drawn
@@ -703,6 +713,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "build_model", work)
         (tmp_path / "bad.json").write_text("{not json\n")
+        for name, data in HEADERLESS_WAVS.items():
+            (tmp_path / name).write_bytes(data)
         argv = [a.format(D=tmp_path) for a in argv] + ["--config", "toy-quartznet2"]
         if argv[0] == "bench":
             argv += ["--out", str(tmp_path / "b.csv")]

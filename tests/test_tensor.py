@@ -3,6 +3,7 @@
 import ctypes
 import glob
 import os
+import signal
 import sys
 import time
 import tracemalloc
@@ -880,6 +881,37 @@ class TestSplitProducts:
         with pytest.raises(RuntimeError, match="part 1"):
             tensor._split(fn, 3)
         assert sorted(done) == [0, 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_splits_on_its_own_threads(self, monkeypatch):
+        # a child forked after a split has the parent's pool object but none
+        # of its threads; a split there must not wait on them forever
+        monkeypatch.setattr(tensor, "_WORKERS", N_WORKERS)
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.standard_normal((23, 40)).astype(np.float32))
+        w = Tensor(rng.standard_normal((tensor.MIN_GEMM_ROWS * N_WORKERS, 40))
+                   .astype(np.float32))
+        calls = record_parts(monkeypatch)
+        want = tensor.linear_rows(x, w).array.tobytes()
+        assert [len(parts) for _, parts in calls] == [N_WORKERS]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = int(tensor.linear_rows(x, w).array.tobytes() != want)
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestBlasThreads:
