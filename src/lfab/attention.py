@@ -6,7 +6,9 @@ Three interchangeable evaluation strategies over the same weights:
   outside [i - left, i + right] (attend_with_mask), the reference every
   efficient path is tested against;
 - lca_chunked: overlapping-chunk evaluation that never materializes a T x T
-  matrix; peak transient score storage is O(T * (left + right + 1) * heads);
+  matrix; it runs in blocks of chunks, so beyond the (T, D) projections and
+  context its score storage is one block, about four tiles (TILE_BYTES) of
+  float32 scores, whatever T is;
 - lca_global_token: chunked band plus one virtual position that every query
   attends to and that attends to everything; its own output row is dropped.
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, batched_matmul, linear_rows, softmax_rows
+from .tensor import TILE_BYTES, Tensor, batched_matmul, linear_rows, softmax_rows
 
 
 @dataclass
@@ -141,17 +143,18 @@ def mha_full(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:
     return attend_with_mask(x, w, cfg, None)
 
 
-def _gather_windows(arr: np.ndarray, t_pad: int, n_chunks: int, cs: int, win: int, left: int):
-    """(T, H, dh) -> read-only strided view (n_chunks, win, H, dh) of windows."""
+def _windows(arr: np.ndarray, j0: int, n: int, cs: int, win: int) -> np.ndarray:
+    """(T, H, dh) -> read-only strided view (n, win, H, dh) of the windows of
+    n chunks, the first starting at row j0 (negative at the left edge);
+    rows outside 0..T-1 read as zeros."""
     t, h, dh = arr.shape
-    padded = np.zeros((left + t_pad + (win - cs - left), h, dh), dtype=arr.dtype)
-    padded[left : left + t] = arr
-    s0, s1, s2 = padded.strides
+    rows = (n - 1) * cs + win
+    span = np.zeros((rows, h, dh), dtype=arr.dtype)
+    lo, hi = max(j0, 0), min(j0 + rows, t)
+    span[lo - j0 : hi - j0] = arr[lo:hi]
+    s0, s1, s2 = span.strides
     return np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n_chunks, win, h, dh),
-        strides=(s0 * cs, s0, s1, s2),
-        writeable=False,
+        span, shape=(n, win, h, dh), strides=(s0 * cs, s0, s1, s2), writeable=False
     )
 
 
@@ -161,69 +164,78 @@ def _chunked_band(
     cfg: AttentionConfig,
     gt_kv: tuple[np.ndarray, np.ndarray] | None,
 ) -> Tensor:
-    """Shared engine for lca_chunked and lca_global_token."""
+    """Shared engine for lca_chunked and lca_global_token.
+
+    Runs in blocks of whole chunks, each block about four tiles
+    (4 * TILE_BYTES) of float32 scores, or one chunk when a chunk is larger.
+    A block builds only its own padded queries, key and value windows (the
+    global token's slot included), mask, scores and probabilities, and
+    writes its rows of the (T, D) context. Every row of a chunk is a whole
+    softmax row and every (head, chunk) product is its own BLAS call of the
+    same shape, so the bytes do not depend on the block size.
+    """
     t = x.shape[0]
     h, dh = cfg.num_heads, cfg.head_dim
     left, right = cfg.left_context, cfg.right_context
     cs = chunk_size(cfg)
     n_chunks = -(-t // cs)
-    t_pad = n_chunks * cs
     win = cs + left + right
+    n_slots = win + (gt_kv is not None)
+    per = max(1, 4 * TILE_BYTES // (4 * h * cs * n_slots))  # chunks per block
 
     # q, k and v own the buffers read below as (T, H, dh) views
     q = linear_rows(x, w.w_q, w.b_q)
     k = linear_rows(x, w.w_k, w.b_k)
     v = linear_rows(x, w.w_v, w.b_v)
+    q3, k3, v3 = (p.array.reshape(t, h, dh) for p in (q, k, v))
+    merged = np.empty((t, h * dh), dtype=np.float32)
 
-    # (H, n_chunks, cs, dh) queries; tail queries beyond T are padding
-    q_pad = np.zeros((h, n_chunks, cs, dh), dtype=np.float32)
-    q_pad.reshape(h, t_pad, dh)[:, :t] = q.array.reshape(t, h, dh).transpose(1, 0, 2)
-    qc = Tensor._wrap(q_pad)
-
-    k_win = _gather_windows(k.array.reshape(t, h, dh), t_pad, n_chunks, cs, win, left)
-    v_win = _gather_windows(v.array.reshape(t, h, dh), t_pad, n_chunks, cs, win, left)
-    kw = Tensor._wrap(np.ascontiguousarray(k_win.transpose(2, 0, 3, 1)))  # (H, n, dh, win)
-    vw = Tensor._wrap(np.ascontiguousarray(v_win.transpose(2, 0, 1, 3)))  # (H, n, win, dh)
-
-    # slot s of chunk c holds absolute key j = c*cs + s - left
+    # slot s of a chunk starting at query row r holds key j = r + s - left
     qi = np.arange(cs)[:, None]
     si = np.arange(win)[None, :]
     band_ok = (si >= qi) & (si <= qi + left + right)  # relative band condition
-    j_abs = np.arange(n_chunks)[:, None, None] * cs + si[None] - left
-    q_abs = np.arange(n_chunks)[:, None, None] * cs + qi[None]
-    key_ok = (j_abs >= 0) & (j_abs < t)
-    mask = band_ok[None] & key_ok
-    # padded tail queries get one dummy slot so their (discarded) rows softmax
-    pad_q = q_abs[:, :, 0] >= t
-    mask[pad_q, :] = False
-    mask[pad_q, 0] = True
+    for c0 in range(0, n_chunks, per):
+        n = min(per, n_chunks - c0)
+        r0, r1 = c0 * cs, min((c0 + n) * cs, t)
+        # (H, n, cs, dh) queries; tail queries beyond T are padding
+        qb = np.zeros((h, n, cs, dh), dtype=np.float32)
+        qb.reshape(h, n * cs, dh)[:, : r1 - r0] = q3[r0:r1].transpose(1, 0, 2)
+        kb = np.empty((h, n, dh, n_slots), dtype=np.float32)
+        vb = np.empty((h, n, n_slots, dh), dtype=np.float32)
+        kb[..., :win] = _windows(k3, r0 - left, n, cs, win).transpose(2, 0, 3, 1)
+        vb[:, :, :win] = _windows(v3, r0 - left, n, cs, win).transpose(2, 0, 1, 3)
 
-    n_slots = win
-    if gt_kv is not None:
-        k_g, v_g = gt_kv  # each (H, dh)
-        kw = Tensor._wrap(
-            np.concatenate([kw.array, np.broadcast_to(
-                k_g[:, None, :, None], (h, n_chunks, dh, 1))], axis=3)
-        )
-        vw = Tensor._wrap(
-            np.concatenate([vw.array, np.broadcast_to(
-                v_g[:, None, None, :], (h, n_chunks, 1, dh))], axis=2)
-        )
-        gt_col = np.broadcast_to(~pad_q[:, :, None], (n_chunks, cs, 1))
-        mask = np.concatenate([mask, gt_col], axis=2)
-        n_slots += 1
+        starts = r0 + cs * np.arange(n)[:, None, None]
+        j_abs = starts + si - left
+        mask = np.empty((n, cs, n_slots), dtype=bool)
+        mask[..., :win] = band_ok & (j_abs >= 0) & (j_abs < t)
+        # padded tail queries get one dummy slot so their (discarded) rows softmax
+        pad_q = (starts[:, :, 0] + qi[:, 0]) >= t
+        if gt_kv is not None:
+            k_g, v_g = gt_kv  # each (H, dh)
+            kb[..., win] = k_g[:, None, :]
+            vb[:, :, win] = v_g[:, None, :]
+            mask[..., win] = ~pad_q
+        mask[pad_q, :] = False
+        mask[pad_q, 0] = True
 
-    scores = batched_matmul(qc, kw, scale=1.0 / math.sqrt(dh))  # (H, n, cs, slots)
-    probs = softmax_rows(scores, mask[None])
-    ctx = batched_matmul(probs, vw)  # (H, n, cs, dh)
-    merged = np.ascontiguousarray(
-        ctx.array.reshape(h, t_pad, dh).transpose(1, 0, 2).reshape(t_pad, h * dh)[:t]
-    )
+        # each buffer is held as a Tensor, so it counts as live until freed
+        qb, kb, vb = (Tensor._wrap(a) for a in (qb, kb, vb))
+        scores = batched_matmul(qb, kb, scale=1.0 / math.sqrt(dh))  # (H, n, cs, slots)
+        del qb, kb
+        probs = softmax_rows(scores, mask[None])
+        del scores
+        ctx = batched_matmul(probs, vb)  # (H, n, cs, dh)
+        del probs, vb
+        merged[r0:r1] = ctx.array.reshape(h, n * cs, dh)[:, : r1 - r0].transpose(
+            1, 0, 2).reshape(r1 - r0, h * dh)
+        del ctx
+    del q, k, v, q3, k3, v3
     return linear_rows(Tensor._wrap(merged), w.w_o, w.b_o)
 
 
 def lca_chunked(x: Tensor, w: AttentionWeights, cfg: AttentionConfig) -> Tensor:
-    """Banded attention via overlapping chunks, O(T * window) score storage.
+    """Banded attention via overlapping chunks, one block of scores at a time.
 
     A sequence that fits in one chunk takes the oracle path outright; chunking
     buys nothing there and the dense band code is exact by construction.

@@ -55,11 +55,13 @@ class AudioBuffer:
         return self.samples.size / SAMPLE_RATE
 
     def values(self, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
-        """float32 samples lo..hi, into out if given. PCM16 is divided by
-        32768 in float32, which is exact, so a span's values are those of
-        the whole array converted at once."""
+        """float32 samples lo..hi, or samples in out's dtype (float32 or
+        float64) when out is given. PCM16 is divided by 32768, which is
+        exact in either, so a span's values are those of the whole array
+        converted to float32 at once."""
         scale = 32768.0 if self.samples.dtype == np.int16 else 1.0
-        return np.divide(self.samples[lo:hi], np.float32(scale), out=out, dtype=np.float32)
+        dtype = np.float32 if out is None else out.dtype
+        return np.divide(self.samples[lo:hi], scale, out=out, dtype=dtype)
 
 
 @dataclass
@@ -164,19 +166,22 @@ def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
     """Unnormalized (T, 80) natural-log mel energies, floored at 1e-10.
 
     The threads split the batches; each part has its own batch buffers,
-    the batch's float32 samples among them, so no float32 copy of the
-    whole audio exists."""
+    the batch's samples among them, so no float copy of the whole audio
+    exists. The samples are read straight into float64, exact for both
+    sample types, so the windowed frames are those of a float32 read."""
     t_frames = num_frames_for(audio.samples.size)
     fb_t = _mel_filterbank().T
     win = _hann_window()
     out = np.empty((t_frames, N_MELS), dtype=np.float64)
     rows = min(STFT_BATCH, t_frames)
+    bins = N_FFT // 2 + 1
 
     def part(b0: int, b1: int) -> None:
-        span = np.empty(HOP_SAMPLES * (rows - 1) + WINDOW_SAMPLES, dtype=np.float32)
+        span = np.empty(HOP_SAMPLES * (rows - 1) + WINDOW_SAMPLES, dtype=np.float64)
         # zero past the window, so rfft needs no padding copy
         windowed = np.zeros((rows, N_FFT), dtype=np.float64)
-        power = np.empty((max(rows, MIN_GEMM_ROWS), N_FFT // 2 + 1), dtype=np.float64)
+        spectrum = np.empty((rows, bins), dtype=np.complex128)
+        power = np.empty((max(rows, MIN_GEMM_ROWS), bins), dtype=np.float64)
         for lo in range(b0 * STFT_BATCH, min(b1 * STFT_BATCH, t_frames), STFT_BATCH):
             hi = min(lo + STFT_BATCH, t_frames)
             n = hi - lo
@@ -185,10 +190,12 @@ def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
                              out=span[: HOP_SAMPLES * (n - 1) + WINDOW_SAMPLES])
             frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
             np.multiply(frames, win, out=windowed[:n, :WINDOW_SAMPLES])
-            spectrum = np.fft.rfft(windowed[:n], axis=1)
+            np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
+            # re^2 + im^2, squared in place in the spectrum's float64 view
+            sq = spectrum[:n].view(np.float64)
+            np.square(sq, out=sq)
             p = power[:n]
-            np.square(spectrum.real, out=p)
-            p += np.square(spectrum.imag)
+            np.add(sq[:, 0::2], sq[:, 1::2], out=p)
             mel = out[lo:hi]
             if n < MIN_GEMM_ROWS:
                 power[n:MIN_GEMM_ROWS] = 0.0

@@ -1,5 +1,6 @@
 """Attention tests: band semantics, chunked-vs-oracle equivalence, memory growth."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -161,17 +162,55 @@ class TestChunked:
         dense = 2 * 4096 * 4096 * 4
         assert tr.peak_bytes < dense // 20
 
-    def test_score_memory_grows_linearly(self):
-        cfg, w = make(left=16, right=16)
-        peaks = {}
-        for t in (1040, 2080):  # multiples of the 40-wide chunk
+    @pytest.mark.parametrize("gt", [False, True])
+    def test_memory_is_linear_terms_plus_one_block(self, gt):
+        # the whole-T terms (q, k, v, the context and the output: 5 T D
+        # float32s) grow by equal steps; beyond them only one block of
+        # chunks is live: its scores and probabilities, about four tiles
+        # each, and its queries and windows
+        cfg, w = make(left=16, right=16, gt=gt)
+        path = attention.lca_global_token if gt else attention.lca_chunked
+        peaks = []
+        for t in (1040, 2080, 3120):  # multiples of the 40-wide chunk
             x = rand_x(t, cfg.model_dim)
-            attention.lca_chunked(x, w, cfg)
+            path(x, w, cfg)
             with tensor.AllocationTracker() as tr:
-                attention.lca_chunked(x, w, cfg)
-            peaks[t] = tr.peak_bytes
-        ratio = peaks[2080] / peaks[1040]
-        assert 1.8 <= ratio <= 2.2, ratio
+                path(x, w, cfg)
+            peaks.append(tr.peak_bytes)
+            assert tr.peak_bytes - 5 * t * cfg.model_dim * 4 <= 12 * tensor.TILE_BYTES, t
+        assert peaks[2] - peaks[1] == peaks[1] - peaks[0], peaks
+
+
+# sha256 of the output bytes at T = 2657 of make(left=16, right=16, gt=gt,
+# seed=11) on rand_x(2657, 64, seed=5): 67 chunks of 40 in blocks of 22,
+# so four blocks, the last of one chunk of 17 rows. Taken with numpy 2.4.6
+# on OpenBLAS 0.3.31.
+PINNED_BLOCKED_OUTPUTS = {
+    False: "3354fa1d4912885b3f30d9797799311c85f485dee8075850a541ecdfc4be6993",
+    True: "a20474224c5b76a97041c307b893979bc85eef74bcdb10b6a26558b4a4917829",
+}
+
+
+class TestBlocks:
+    """The chunked path's bytes do not depend on its blocks or threads."""
+
+    @staticmethod
+    def digest(gt):
+        cfg, w = make(left=16, right=16, gt=gt, seed=11)
+        path = attention.lca_global_token if gt else attention.lca_chunked
+        out = path(rand_x(2657, cfg.model_dim, seed=5), w, cfg)
+        return hashlib.sha256(out.array.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("gt", [False, True])
+    def test_pinned_at_worker_counts(self, gt, workers, monkeypatch):
+        monkeypatch.setattr(tensor, "_WORKERS", workers)
+        assert self.digest(gt) == PINNED_BLOCKED_OUTPUTS[gt]
+
+    @pytest.mark.parametrize("gt", [False, True])
+    def test_pinned_at_one_chunk_per_block(self, gt, monkeypatch):
+        monkeypatch.setattr(attention, "TILE_BYTES", 1)
+        assert self.digest(gt) == PINNED_BLOCKED_OUTPUTS[gt]
 
 
 class TestOneChunkFallback:

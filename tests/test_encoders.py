@@ -201,8 +201,9 @@ class TestConvSchedule:
 
 # (preset, seconds) -> sha256 of the encode output bytes and the Tensor peak
 # of that encode, for the seed-1 model on log_mel(synth_audio(seconds,
-# seed=3)). 2 s fits in one toy LCA chunk and 30 s spans many, so both
-# attention paths are pinned. The peak pins the buffer accounting: a view
+# seed=3)). 2 s fits in one toy LCA chunk, 30 s spans one block of chunks
+# and 240 s (the toy LCA presets only) four blocks, so both attention paths
+# and the chunked path's block boundaries are pinned. The peak pins the buffer accounting: a view
 # used past the Tensor that owns its buffer reads as a lower peak. Taken
 # with numpy 2.4.6 on OpenBLAS 0.3.31.
 PINNED_ENCODER_OUTPUTS = {
@@ -213,9 +214,11 @@ PINNED_ENCODER_OUTPUTS = {
     ("toy-contextnet", 2): ("4fa29b39d121bfdad6563cd36d0a37a80a71ee9d231f6e6b30a1fb46df9da537", 114048),
     ("toy-contextnet", 30): ("a25994e2389f39d279ca4d804a93b6805aef133ab7391848598bd03d01d20513", 1726848),
     ("toy-fastconformer", 2): ("eda6644bf66a7b522802bd268cba0335c257c9a44081223ac7bec876076c0b1c", 114048),
-    ("toy-fastconformer", 30): ("3af7c4ec6575677af1b3de5dafe4cd2c63bd5001b0c9838a0013a723059bf3e0", 2263040),
+    ("toy-fastconformer", 30): ("3af7c4ec6575677af1b3de5dafe4cd2c63bd5001b0c9838a0013a723059bf3e0", 1777920),
+    ("toy-fastconformer", 240): ("19c98ee40008cb32cc14b392796e0cb0a6e543ab81c903c6321884e9fb8996cd", 13822848),
     ("toy-fastconformer-gt", 2): ("2fd7018dcde52a50c9c964d1c8cafa634c58bfb6bf8ad14e1821e8191a2c9480", 114048),
-    ("toy-fastconformer-gt", 30): ("f340ddb81ee7db70821a4aa977ba65e429713e7874d92d0803883a7c2394c522", 2281472),
+    ("toy-fastconformer-gt", 30): ("f340ddb81ee7db70821a4aa977ba65e429713e7874d92d0803883a7c2394c522", 1793792),
+    ("toy-fastconformer-gt", 240): ("138fbbc4d49c26b9fccc63351f475a19f1df30d0031b393ca805e73dce0631d0", 13822848),
     ("toy-quartznet2", 2): ("778981de06c0a34faa44f65ca60ce24b8468365de2da4499d2703f758fa6972c", 114048),
     ("toy-quartznet2", 30): ("ac50b74486ee89585c0cd4e918a45f2c61efd3517d311cf9754f0679c3e6b689", 1726848),
 }
@@ -223,7 +226,7 @@ PINNED_ENCODER_OUTPUTS = {
 
 @pytest.fixture(scope="module")
 def synth_feats():
-    return {d: frontend.log_mel(frontend.synth_audio(d, seed=3)).frames for d in (2, 30)}
+    return {d: frontend.log_mel(frontend.synth_audio(d, seed=3)).frames for d in (2, 30, 240)}
 
 
 class TestPinnedEncoderOutputs:

@@ -183,9 +183,13 @@ class TestThreads:
 
 
 class TestMemory:
+    # bytes the first pass leaves cached, within this bound: the mel
+    # filterbank (164 KB), the Hann window and rfft's plan (126 KB)
+    CACHED = 2**19
+
     def test_log_mel_heap_peak(self, monkeypatch):
-        # no full-size temporary beyond the float64 energies, the float32
-        # features and the finite check's mask
+        # no full-size temporary beyond the float64 energies and the
+        # float32 features
         monkeypatch.setattr(tensor, "_WORKERS", 1)
         self.check_heap_peak(1)
 
@@ -197,12 +201,11 @@ class TestMemory:
 
     def test_wav_pass_holds_no_float32_copy_of_the_audio(self, tmp_path, monkeypatch):
         # read_wav keeps the PCM16 bytes wave returns and each batch
-        # converts its own span, so no float32 copy of the audio exists
+        # converts its own span, so no float copy of the audio exists
         # (4 bytes per sample, 20 per cell); log_mel frees the samples once
         # the energies exist, so the features (4 bytes per cell) are not
         # made next to them. At 600 s either would put the peak over the
-        # PCM16 bytes, the energies, each worker's batch buffers and one
-        # byte per cell of slack (rfft's own scratch).
+        # bound.
         workers = max(2, tensor._WORKERS)
         monkeypatch.setattr(tensor, "_WORKERS", workers)
         path = tmp_path / "long.wav"
@@ -217,21 +220,32 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * n + 8 * cells + cells + self.batch_buffers(workers)
+        assert peak <= self.heap_bound(workers, cells, samples=2 * n)
 
     @staticmethod
     def batch_buffers(workers):
-        """Per worker: the batch's float32 samples, windowed frames, power,
-        the complex spectrum and its squared imaginary part; then the
-        variance's block of squares."""
+        """Per worker: the batch's float64 samples, windowed frames, the
+        complex spectrum (squared in place) and power, and numpy's ufunc
+        buffers (three operands of np.getbufsize() float64s)."""
         rows, bins = frontend.STFT_BATCH, frontend.N_FFT // 2 + 1
-        span = 4 * (frontend.HOP_SAMPLES * (rows - 1) + frontend.WINDOW_SAMPLES)
-        return (workers * (span + 8 * rows * frontend.N_FFT + 8 * rows * bins
-                           + 16 * rows * bins + 8 * rows * bins)
-                + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS)
+        span = 8 * (frontend.HOP_SAMPLES * (rows - 1) + frontend.WINDOW_SAMPLES)
+        ufunc = 3 * 8 * np.getbufsize()
+        return workers * (span + 8 * rows * frontend.N_FFT + 16 * rows * bins
+                          + 8 * rows * bins + ufunc)
 
-    @staticmethod
-    def check_heap_peak(workers):
+    @classmethod
+    def heap_bound(cls, workers, cells, samples=0):
+        """The larger of the two phases' heaps, plus CACHED. Energies: the
+        traced samples, the float64 energies and the batch buffers.
+        Normalization: the energies, the float32 features, the variance's
+        block of squares and one set of ufunc buffers (the features' cast)."""
+        energies = samples + 8 * cells + cls.batch_buffers(workers)
+        norm = (12 * cells + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS
+                + 3 * 8 * np.getbufsize())
+        return max(energies, norm) + cls.CACHED
+
+    @classmethod
+    def check_heap_peak(cls, workers):
         audio = frontend.synth_audio(120.0, seed=3)
         t = frontend.num_frames_for(audio.samples.size)
         gc.collect()
@@ -242,14 +256,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        rows, bins = frontend.STFT_BATCH, frontend.N_FFT // 2 + 1
-        # per worker: windowed frames, power, the complex spectrum and its
-        # squared imaginary part; then the variance's block of squares
-        batch_buffers = (workers * (8 * rows * frontend.N_FFT + 8 * rows * bins
-                                    + 16 * rows * bins + 8 * rows * bins)
-                         + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS)
-        cells = t * frontend.N_MELS
-        assert peak <= 8 * cells + 4 * cells + cells + batch_buffers
+        assert peak <= cls.heap_bound(workers, t * frontend.N_MELS)
 
 
 class TestWavIO:
