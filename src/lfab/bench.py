@@ -31,7 +31,7 @@ from .encoders import (
     EncoderModel,
 )
 from .errors import ConfigError
-from .frontend import AudioBuffer, FeatureMatrix
+from .frontend import AudioBuffer
 
 BYTES_PER_ELEMENT = 4
 DEFAULT_REPEATS = 3
@@ -109,7 +109,17 @@ def _attention_phase(cfg: EncoderConfig, t: int) -> int:
 
 
 def predict_peak_bytes(cfg: EncoderConfig, t_frames: int) -> int:
-    """Predicted peak live activation bytes for a pass over t_frames features."""
+    """Predicted peak live activation bytes for a pass over t_frames features.
+
+    The (T, 80) features are added on top of the encoder's peak. That
+    over-counts: encode frees them once it has transposed them, when
+    handed the only reference (run_pipeline, transcribe). The chunked
+    attention is also over-counted, as if its padded queries, key/value
+    windows, scores and probabilities were whole; it holds one block of
+    chunks of them at a time. Left out: the front end's float64 energies
+    (8 bytes per cell, in the features' own buffer and a half-size one,
+    before encode runs) and the kernels' fixed float64 tiles and blocks.
+    """
     if t_frames < 1:
         raise ValueError(f"t_frames must be >= 1, got {t_frames}")
     t, x, peak = t_frames, t_frames * FEATURE_DIM, 0  # x: live input elements
@@ -151,26 +161,18 @@ def _decode(model: EncoderModel, decoder: str, enc):
 
 
 def run_pipeline(model: EncoderModel, decoder: str, audio: AudioBuffer):
-    """Front-end, encoder, decode. Returns (hypothesis, stage seconds)."""
+    """Front-end, encoder, decode. Returns (hypothesis, stage seconds).
+
+    encode gets the only reference to the features, popped from a list, so
+    they are freed once it has transposed them."""
     t0 = time.perf_counter()
-    fm = frontend.log_mel(audio)
-    return encode_and_decode(model, decoder, fm, time.perf_counter() - t0)
-
-
-def encode_and_decode(model: EncoderModel, decoder: str, fm: FeatureMatrix,
-                      frontend_seconds: float):
-    """Encoder and decode of features that took frontend_seconds to compute.
-
-    Returns (hypothesis, stage seconds) as run_pipeline does. It serves a
-    caller that frees the audio once the features exist, as transcribe does,
-    so that the samples are not live during the encoder.
-    """
+    feats = [frontend.log_mel(audio).frames]
     t1 = time.perf_counter()
-    enc = encoders.encode(model, fm.frames)
+    enc = encoders.encode(model, feats.pop())
     t2 = time.perf_counter()
     hyp = _decode(model, decoder, enc)
     stages = {
-        "frontend_s": frontend_seconds,
+        "frontend_s": t1 - t0,
         "encoder_s": t2 - t1,
         "decoder_s": hyp.decode_seconds,
     }

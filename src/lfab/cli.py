@@ -19,7 +19,6 @@ import math
 import os
 import resource
 import sys
-import time
 
 from . import bench, encoders, frontend, metrics
 from .attention import AttentionConfig
@@ -206,20 +205,9 @@ def _naming(path):
         raise AudioFormatError(f"{path}: {e}") from e
 
 
-def _transcribe_file(model: EncoderModel, decoder: str, path, audio: list):
-    """bench.run_pipeline on one WAV file. audio holds the file's
-    AudioBuffer when it was read already; log_mel gets the only reference,
-    so the samples are freed before the features are made."""
-    if not audio:
-        audio.append(frontend.read_wav(path))
-    t0 = time.perf_counter()
-    fm = frontend.log_mel(audio.pop())
-    return bench.encode_and_decode(model, decoder, fm, time.perf_counter() - t0)
-
-
 def cmd_transcribe(args) -> int:
     rc = resolve_run_config(args.config)
-    audio = []
+    audio = []  # the --audio file's AudioBuffer
     if args.audio is not None:
         paths = [args.audio]
         # read before the model is built, so a bad file fails at once
@@ -239,7 +227,8 @@ def cmd_transcribe(args) -> int:
     for path in paths:
         # the transcripts already printed stand; the message names the file
         with _naming(path):
-            hyp, stages = _transcribe_file(model, args.decoder, path, audio)
+            hyp, stages = bench.run_pipeline(
+                model, args.decoder, audio.pop() if audio else frontend.read_wav(path))
         print(hyp.text)
         for key in totals:
             totals[key] += stages[key]

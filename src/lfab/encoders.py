@@ -571,13 +571,15 @@ def conformer_block_forward(x: Tensor, blk: ConformerBlock, cfg: EncoderConfig) 
 
 def encode(model: EncoderModel, feats: Tensor) -> Tensor:
     """feats: (T, 80) -> (T', model_dim): the conv schedule, then the SE
-    families' pointwise epilogue or the conformer body."""
+    families' pointwise epilogue or the conformer body. A caller that hands
+    over its only reference to feats has them freed once transposed."""
     if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
         raise ShapeError(f"features must be (T, {FEATURE_DIM}), got {feats.shape}")
     t, ds = feats.shape[0], model.config.downsample_rate
     if t < ds:
         raise ShapeError(f"input too short: {t} frames, need at least {ds}")
     x = tensor.transpose(feats)  # (80, T)
+    del feats
     for blk in model.conv_stack:
         x = _conv_block_forward(x, blk)
     if model.epilogue is not None:

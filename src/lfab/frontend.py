@@ -9,7 +9,9 @@ mean/variance normalization per feature.
 from __future__ import annotations
 
 import functools
+import os
 import wave
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +31,56 @@ LOG_FLOOR = 1e-10
 # cache. A batch shorter than MIN_GEMM_ROWS is zero-padded to it, so a
 # frame's features do not depend on the utterance length.
 STFT_BATCH = 256
-# Rows per block of the variance's sum of squares.
+# Batches per piece of samples the front end reads at once (8192 frames,
+# 2.6 MB of PCM16).
+PIECE_BATCHES = 32
+# Rows per block of the normalization's sums of squares and divisions.
 NORM_BLOCK = 512
+
+
+class WavSamples:
+    """The PCM16 samples of a WAV file that read_wav has checked, left in the
+    file: slicing reads the slice's span from it. The file stays open while
+    this lives, so a rename over its path does not change what it reads."""
+
+    dtype = np.dtype(np.int16)
+    ndim = 1
+
+    def __init__(self, f, offset: int, size: int):
+        self._file, self._offset, self.size = f, offset, size
+        weakref.finalize(self, f.close)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        lo, hi, _ = key.indices(self.size)
+        out = np.empty(max(hi - lo, 0), dtype="<i2")
+        view, got = memoryview(out).cast("B"), 0
+        try:
+            self._file.seek(self._offset + 2 * lo)
+            while got < out.nbytes:
+                n = self._file.readinto(view[got:])
+                if not n:
+                    # cut short since read_wav checked it: the error
+                    # read_wav would give the file now
+                    held = os.fstat(self._file.fileno()).st_size - self._offset
+                    _check_data_bytes(self.size, max(0, min(2 * self.size, held)))
+                got += n
+        except OSError as exc:
+            raise AudioFormatError(f"not a readable RIFF wav file: {exc.strerror}") from exc
+        return out.astype(np.int16, copy=False)
 
 
 @dataclass
 class AudioBuffer:
     """Mono 16 kHz audio: float32 samples in [-1, 1], or int16 PCM16 samples
-    as a WAV holds them, where v reads as float32(v) / 32768."""
+    as a WAV holds them, where v reads as float32(v) / 32768. A WAV's
+    samples may stay in the file (WavSamples); the front end reads them a
+    piece at a time, and in-memory samples through a view of each piece."""
 
-    samples: np.ndarray
+    samples: np.ndarray | WavSamples
 
     def __post_init__(self):
-        if not (isinstance(self.samples, np.ndarray) and self.samples.dtype == np.int16):
+        if not (isinstance(self.samples, WavSamples) or (
+                isinstance(self.samples, np.ndarray) and self.samples.dtype == np.int16)):
             self.samples = np.asarray(self.samples, dtype=np.float32)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise AudioFormatError("audio must be a non-empty 1-D sample array")
@@ -54,14 +93,16 @@ class AudioBuffer:
     def duration_s(self) -> float:
         return self.samples.size / SAMPLE_RATE
 
-    def values(self, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
-        """float32 samples lo..hi, or samples in out's dtype (float32 or
-        float64) when out is given. PCM16 is divided by 32768, which is
-        exact in either, so a span's values are those of the whole array
-        converted to float32 at once."""
-        scale = 32768.0 if self.samples.dtype == np.int16 else 1.0
-        dtype = np.float32 if out is None else out.dtype
-        return np.divide(self.samples[lo:hi], scale, out=out, dtype=dtype)
+    @property
+    def scale(self) -> float:
+        """What a sample is divided by to read as float32: 32768 for PCM16."""
+        return 32768.0 if self.samples.dtype == np.int16 else 1.0
+
+    def values(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """float32 samples lo..hi. PCM16 is divided by 32768, which is
+        exact, so a span's values are those of the whole array converted
+        at once."""
+        return np.divide(self.samples[lo:hi], self.scale, dtype=np.float32)
 
 
 @dataclass
@@ -85,42 +126,65 @@ def num_frames_for(n_samples: int) -> int:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a complete RIFF PCM16 mono 16 kHz file. Anything else, a file
-    shorter than its data chunk declares included, is rejected."""
+    """Check a RIFF PCM16 mono 16 kHz file and return its samples, left in
+    the file (WavSamples). Anything else, a file shorter than its data chunk
+    declares included, is rejected. The data bytes checked are those wave's
+    readframes would return: the data chunk, cut at the end of the RIFF
+    chunk and of the file."""
     try:
-        with wave.open(str(path), "rb") as wf:
-            rate = wf.getframerate()
-            channels = wf.getnchannels()
-            width = wf.getsampwidth()
-            n = wf.getnframes()
-            raw = wf.readframes(n)
-    except (wave.Error, EOFError, OSError) as exc:
-        # the caller names the path; wave raises a bare EOFError when the
-        # file ends inside its RIFF header or its fmt chunk
-        reason = (getattr(exc, "strerror", None) or str(exc)
-                  or "file ends before its RIFF and fmt headers are complete")
-        raise AudioFormatError(f"not a readable RIFF wav file: {reason}") from exc
-    except RuntimeError as exc:
-        # wave raises a bare RuntimeError when a chunk it skips runs past
-        # the end of the RIFF chunk
-        raise AudioFormatError("not a readable RIFF wav file: corrupt chunk size") from exc
-    if rate != SAMPLE_RATE:
-        raise AudioFormatError(f"unsupported rate, expected {SAMPLE_RATE}, got {rate}")
-    if channels != 1:
-        raise AudioFormatError(f"expected mono audio, got {channels} channels")
-    if width != 2:
-        raise AudioFormatError(f"expected 16-bit PCM, got sample width {width}")
-    if len(raw) % 2:
+        # unbuffered, so every read of the samples asks the file itself
+        f = open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise AudioFormatError(f"not a readable RIFF wav file: {exc.strerror}") from exc
+    try:
+        try:
+            with wave.open(f) as wf:
+                rate = wf.getframerate()
+                channels = wf.getnchannels()
+                width = wf.getsampwidth()
+                n = wf.getnframes()
+                # wave stops reading at the data chunk's first byte
+                data_start = f.tell()
+            f.seek(4)
+            riff_end = 8 + int.from_bytes(f.read(4), "little")
+            held = min(2 * n, riff_end - data_start,
+                       os.fstat(f.fileno()).st_size - data_start)
+        except (wave.Error, EOFError, OSError) as exc:
+            # the caller names the path; wave raises a bare EOFError when the
+            # file ends inside its RIFF header or its fmt chunk
+            reason = (getattr(exc, "strerror", None) or str(exc)
+                      or "file ends before its RIFF and fmt headers are complete")
+            raise AudioFormatError(f"not a readable RIFF wav file: {reason}") from exc
+        except RuntimeError as exc:
+            # wave raises a bare RuntimeError when a chunk it skips runs past
+            # the end of the RIFF chunk
+            raise AudioFormatError(
+                "not a readable RIFF wav file: corrupt chunk size") from exc
+        if rate != SAMPLE_RATE:
+            raise AudioFormatError(f"unsupported rate, expected {SAMPLE_RATE}, got {rate}")
+        if channels != 1:
+            raise AudioFormatError(f"expected mono audio, got {channels} channels")
+        if width != 2:
+            raise AudioFormatError(f"expected 16-bit PCM, got sample width {width}")
+        _check_data_bytes(n, held)
+        return AudioBuffer(WavSamples(f, data_start, n))
+    except BaseException:
+        f.close()
+        raise
+
+
+def _check_data_bytes(n: int, held: int) -> None:
+    """Reject a data chunk declaring n samples of which held bytes exist."""
+    if held % 2:
         raise AudioFormatError(
-            f"PCM data ends mid-sample: {len(raw)} bytes is not a whole "
+            f"PCM data ends mid-sample: {held} bytes is not a whole "
             "number of 16-bit samples"
         )
-    if len(raw) < 2 * n:
+    if held < 2 * n:
         raise AudioFormatError(
             f"truncated WAV: the data chunk declares {n} samples, "
-            f"the file holds {len(raw)} bytes of them"
+            f"the file holds {held} bytes of them"
         )
-    return AudioBuffer(np.frombuffer(raw, dtype="<i2").astype(np.int16, copy=False))
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
@@ -162,73 +226,103 @@ def _hann_window() -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / WINDOW_SAMPLES)
 
 
-def log_mel_energies(audio: AudioBuffer) -> np.ndarray:
-    """Unnormalized (T, 80) natural-log mel energies, floored at 1e-10.
+def _write_energies(audio: AudioBuffer, head: np.ndarray, tail: np.ndarray) -> None:
+    """The energies of frames [0, len(head)) into head and the rest into tail.
 
-    The threads split the batches; each part has its own batch buffers,
-    the batch's samples among them, so no float copy of the whole audio
-    exists. The samples are read straight into float64, exact for both
-    sample types, so the windowed frames are those of a float32 read."""
-    t_frames = num_frames_for(audio.samples.size)
+    The samples are read a piece of PIECE_BATCHES batches at a time, and the
+    threads split each piece's batches. Each part takes its batch buffers
+    from those of the parts done (so each thread's stay warm), or makes
+    them. A frame is windowed straight from a strided view of the piece's
+    samples, with the 1/32768 of PCM16 folded into the window: 32768 is a
+    power of two, so the windowed frames are those of a float32 read."""
+    t_frames, split = len(head) + len(tail), len(head)
     fb_t = _mel_filterbank().T
-    win = _hann_window()
-    out = np.empty((t_frames, N_MELS), dtype=np.float64)
+    win = _hann_window() / audio.scale
     rows = min(STFT_BATCH, t_frames)
+    gemm_rows = max(rows, MIN_GEMM_ROWS)
     bins = N_FFT // 2 + 1
+    piece_frames = PIECE_BATCHES * STFT_BATCH
+    spare = []
 
     def part(b0: int, b1: int) -> None:
-        span = np.empty(HOP_SAMPLES * (rows - 1) + WINDOW_SAMPLES, dtype=np.float64)
-        # zero past the window, so rfft needs no padding copy
-        windowed = np.zeros((rows, N_FFT), dtype=np.float64)
-        spectrum = np.empty((rows, bins), dtype=np.complex128)
-        power = np.empty((max(rows, MIN_GEMM_ROWS), bins), dtype=np.float64)
-        for lo in range(b0 * STFT_BATCH, min(b1 * STFT_BATCH, t_frames), STFT_BATCH):
-            hi = min(lo + STFT_BATCH, t_frames)
-            n = hi - lo
-            # frame f is samples[160 f : 160 f + 400], read through a strided view
-            x = audio.values(HOP_SAMPLES * lo, HOP_SAMPLES * (hi - 1) + WINDOW_SAMPLES,
-                             out=span[: HOP_SAMPLES * (n - 1) + WINDOW_SAMPLES])
-            frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
-            np.multiply(frames, win, out=windowed[:n, :WINDOW_SAMPLES])
+        try:
+            buffers = spare.pop()
+        except IndexError:
+            # zero past the window, so rfft needs no padding copy
+            buffers = (np.zeros((rows, N_FFT), dtype=np.float64),
+                       np.empty((rows, bins), dtype=np.complex128),
+                       np.empty((gemm_rows, bins), dtype=np.float64),
+                       np.empty((gemm_rows, N_MELS), dtype=np.float64))
+        windowed, spectrum, power, mel = buffers
+        for lo in range(b0 * STFT_BATCH, min(b1 * STFT_BATCH, f1 - f0), STFT_BATCH):
+            n = min(STFT_BATCH, f1 - f0 - lo)
+            np.multiply(frames[lo : lo + n], win, out=windowed[:n, :WINDOW_SAMPLES])
             np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
             # re^2 + im^2, squared in place in the spectrum's float64 view
             sq = spectrum[:n].view(np.float64)
             np.square(sq, out=sq)
-            p = power[:n]
-            np.add(sq[:, 0::2], sq[:, 1::2], out=p)
-            mel = out[lo:hi]
-            if n < MIN_GEMM_ROWS:
-                power[n:MIN_GEMM_ROWS] = 0.0
-                mel[...] = np.matmul(power[:MIN_GEMM_ROWS], fb_t)[:n]
-            else:
-                np.matmul(p, fb_t, out=mel)
-            np.maximum(mel, LOG_FLOOR, out=mel)
-            np.log(mel, out=mel)
+            np.add(sq[:, 0::2], sq[:, 1::2], out=power[:n])
+            # a batch shorter than MIN_GEMM_ROWS is padded with zero rows
+            m = max(n, MIN_GEMM_ROWS)
+            power[n:m] = 0.0
+            np.matmul(power[:m], fb_t, out=mel[:m])
+            np.maximum(mel[:n], LOG_FLOOR, out=mel[:n])
+            # frames f0 + lo ... f0 + lo + n: those before split go to
+            # head, the rest to tail
+            k = min(max(split - f0 - lo, 0), n)
+            np.log(mel[:k], out=head[f0 + lo : f0 + lo + k])
+            np.log(mel[k:n], out=tail[f0 + lo + k - split : f0 + lo + n - split])
+        spare.append(buffers)
 
-    _split(part, -(-t_frames // STFT_BATCH))
-    return out
+    for f0 in range(0, t_frames, piece_frames):
+        f1 = min(f0 + piece_frames, t_frames)
+        # frame f is samples[160 f : 160 f + 400]. The last piece runs to the
+        # end, so every sample of a WAV is read, and a file cut short since
+        # read_wav checked it fails as read_wav would.
+        end = HOP_SAMPLES * (f1 - 1) + WINDOW_SAMPLES if f1 < t_frames else None
+        pcm = audio.samples[HOP_SAMPLES * f0 : end]
+        frames = np.lib.stride_tricks.sliding_window_view(pcm, WINDOW_SAMPLES)[::HOP_SAMPLES]
+        _split(part, -(-(f1 - f0) // STFT_BATCH))
+        del pcm, frames
 
 
 def log_mel(audio: AudioBuffer) -> FeatureMatrix:
     """Normalized log-mel features: per-feature zero mean / unit variance.
 
-    A caller that hands over its only reference to the audio has the
-    samples freed once the energies exist, before the features are made."""
-    y = log_mel_energies(audio)
+    The float64 energies of the first T // 2 frames are written into the
+    float32 features' own bytes and the rest into a half-size buffer, so
+    the pass holds 8 bytes per cell. A caller that hands over its only
+    reference to the audio has the samples freed once the energies exist."""
+    t = num_frames_for(audio.samples.size)
+    split = t // 2
+    feats = np.empty((t, N_MELS), dtype=np.float32)
+    head = feats.reshape(-1).view(np.float64)[: split * N_MELS].reshape(split, N_MELS)
+    # row 0 carries the sums over head into those over the tail
+    tail = np.empty((t - split + 1, N_MELS), dtype=np.float64)
+    _write_energies(audio, head, tail[1:])
     del audio
-    t = y.shape[0]
     # numpy's own mean/var sequence, with the mean taken and subtracted once.
-    # The axis-0 sum adds rows in order, so the squares are summed in blocks
-    # whose row 0 carries the running sum.
-    y -= y.mean(axis=0)
+    # The axis-0 sum adds rows in order, so tail row 0 and the first row of
+    # each block of squares carry the running sum.
+    if split:
+        tail[0] = head.sum(axis=0)
+    mean = (tail if split else tail[1:]).sum(axis=0) / t
+    # (first row, energies) of each block, in row order
+    blocks = [(base + lo, y[lo : lo + NORM_BLOCK])
+              for y, base in ((head, 0), (tail[1:], split))
+              for lo in range(0, len(y), NORM_BLOCK)]
     sq = np.zeros((min(NORM_BLOCK, t) + 1, N_MELS), dtype=np.float64)
-    for lo in range(0, t, NORM_BLOCK):
-        hi = min(lo + NORM_BLOCK, t)
-        np.square(y[lo:hi], out=sq[1 : 1 + hi - lo])
-        sq[0] = sq[: 1 + hi - lo].sum(axis=0)
-    sigma = np.sqrt(sq[0] / t)
-    feats = np.divide(y, sigma + 1e-10, out=np.empty(y.shape, dtype=np.float32))
-    del y  # free the energies before the finite check builds its mask
+    for _, y in blocks:
+        y -= mean
+        np.square(y, out=sq[1 : 1 + len(y)])
+        sq[0] = sq[: 1 + len(y)].sum(axis=0)
+    denom = np.sqrt(sq[0] / t) + 1e-10
+    # In row order: feature row r overlaps only energy row r // 2, which
+    # is read by then. numpy copies a block whose rows its output overlaps
+    # (the first one) before writing.
+    for r, y in blocks:
+        np.divide(y, denom, out=feats[r : r + len(y)])
+    del blocks, head, tail  # free the tail before the finite check builds its mask
     if not np.isfinite(feats).all():
         raise NumericDomainError("tensor values must be finite")
     return FeatureMatrix(frames=Tensor._wrap(feats))

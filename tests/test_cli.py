@@ -290,26 +290,37 @@ class TestTranscribe:
         assert err.count(str(gone)) == 1, err
         assert err.startswith(f"error: {gone}: not a readable RIFF wav file: No such file")
 
-    def test_samples_freed_before_encode(self, capsys, tone_wav, monkeypatch):
-        samples, alive_at_encode = [], []
-        read_wav, encode = frontend.read_wav, encoders.encode
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "a Python-to-Python call moves its argument references into the "
+        "callee's frame from CPython 3.11 on; before, the caller keeps one"))
+    def test_features_freed_before_the_first_conv_block_returns(
+            self, capsys, tmp_path, tone_wav, monkeypatch):
+        # encode gets the only reference to the features and drops it once
+        # it has transposed them
+        feats, alive = [], []
+        log_mel, conv_block = frontend.log_mel, encoders._conv_block_forward
 
-        def tracked_read(path):
-            audio = read_wav(path)
-            samples.append(weakref.ref(audio.samples))
-            return audio
+        def tracked_log_mel(audio):
+            fm = log_mel(audio)
+            feats.append(weakref.ref(fm.frames))
+            return fm
 
-        def checked_encode(model, feats):
-            alive_at_encode.append(samples[-1]() is not None)
-            return encode(model, feats)
+        def checked_block(x, blk):
+            out = conv_block(x, blk)
+            if len(alive) < len(feats):  # the pass's first block
+                alive.append(feats[-1]() is not None)
+            return out
 
-        monkeypatch.setattr(frontend, "read_wav", tracked_read)
-        monkeypatch.setattr(encoders, "encode", checked_encode)
-        for decoder in ("ctc", "rnnt"):
-            code, _, _ = run(capsys, "transcribe", "--config", "toy-quartznet2",
-                             "--audio", tone_wav, "--decoder", decoder)
-            assert code == 0
-        assert alive_at_encode == [False, False]
+        monkeypatch.setattr(frontend, "log_mel", tracked_log_mel)
+        monkeypatch.setattr(encoders, "_conv_block_forward", checked_block)
+        (tmp_path / "m.json").write_text(json.dumps(
+            {"audio_filepath": tone_wav, "duration": 2.0, "text": ""}) + "\n")
+        for source in (["--audio", tone_wav], ["--manifest", str(tmp_path / "m.json")]):
+            for decoder in ("ctc", "rnnt"):
+                code, _, _ = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                                 *source, "--decoder", decoder)
+                assert code == 0
+        assert alive == [False] * 4
 
     def test_debug_log_reports_peak_rss_on_stderr_only(self, tmp_path, tone_wav):
         # a run of its own process, so logging is set up as a user's is
@@ -752,6 +763,117 @@ class TestExitCodes:
                            "--audio", str(path))
         assert code == 2
         assert "too short" in err
+
+
+def pcm16_wav_bytes(n_samples, seed=0):
+    """A 44-byte-header PCM16 WAV of n_samples random samples."""
+    ints = np.random.default_rng(seed).integers(-32768, 32768, size=n_samples)
+    data = ints.astype("<i2").tobytes()
+    return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVEfmt "
+            + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16)
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
+def data_bytes_message(n_samples, held):
+    """read_wav's message for a data chunk of n_samples with held bytes."""
+    if held % 2:
+        return (f"PCM data ends mid-sample: {held} bytes is not a whole "
+                "number of 16-bit samples")
+    return (f"truncated WAV: the data chunk declares {n_samples} samples, "
+            f"the file holds {held} bytes of them")
+
+
+class TestWavDataErrors:
+    """A WAV whose data is cut short, through --audio and --manifest: exit 2
+    with the message naming the file, and --audio fails before the model is
+    built. The samples are read after the model is built, so a file cut
+    after read_wav has checked it must fail the same way."""
+
+    N = 1000  # samples: the 4 frames toy-quartznet2 needs at least
+    READ_WAV = staticmethod(frontend.read_wav)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return cli.build_model(cli.resolve_run_config("toy-quartznet2"), seed=0)
+
+    def transcribe(self, capsys, monkeypatch, model, path, source, cut_after_read=None):
+        """Exit code and stderr of transcribe over path. cut_after_read
+        truncates the file to that many bytes once read_wav has returned."""
+        def cut():
+            if cut_after_read is not None:
+                with open(path, "r+b") as f:
+                    f.truncate(cut_after_read)
+
+        def build(*args, **kwargs):
+            if source == "--audio":
+                if cut_after_read is None:
+                    raise AssertionError("the model was built")
+                cut()  # --audio reads the file before the model is built
+            return model
+
+        def read_then_cut(p):
+            audio = self.READ_WAV(p)
+            cut()
+            return audio
+
+        monkeypatch.setattr(cli, "build_model", build)
+        if source == "--manifest":
+            monkeypatch.setattr(frontend, "read_wav", read_then_cut)
+            manifest = path.parent / "m.json"
+            manifest.write_text(json.dumps(
+                {"audio_filepath": path.name, "duration": 0.0625, "text": ""}) + "\n")
+            target = manifest
+        else:
+            target = path
+        code, out, err = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                             source, str(target))
+        return code, out, err
+
+    @pytest.mark.parametrize("source", ["--audio", "--manifest"])
+    def test_truncated_at_every_offset(self, capsys, monkeypatch, tmp_path, model, source):
+        # every odd length among them ends mid-sample
+        data = pcm16_wav_bytes(self.N)
+        path = tmp_path / "cut.wav"
+        for held in range(2 * self.N):
+            path.write_bytes(data[:44 + held])
+            code, out, err = self.transcribe(capsys, monkeypatch, model, path, source)
+            assert (code, out) == (2, ""), (held, err)
+            assert err == f"error: {path}: {data_bytes_message(self.N, held)}\n", held
+
+    @pytest.mark.parametrize("source", ["--audio", "--manifest"])
+    @pytest.mark.parametrize("riff_data", [0, 101, 500])
+    def test_data_chunk_past_riff_end(self, capsys, monkeypatch, tmp_path, model,
+                                      source, riff_data):
+        # the RIFF chunk ends riff_data bytes into the data chunk; the file
+        # holds every byte the data chunk declares
+        data = bytearray(pcm16_wav_bytes(self.N))
+        data[4:8] = struct.pack("<I", 36 + riff_data)
+        path = tmp_path / "riff.wav"
+        path.write_bytes(bytes(data))
+        code, _, err = self.transcribe(capsys, monkeypatch, model, path, source)
+        assert code == 2
+        assert err == f"error: {path}: {data_bytes_message(self.N, riff_data)}\n"
+
+    @pytest.mark.parametrize("source", ["--audio", "--manifest"])
+    @pytest.mark.parametrize("held", [0, 1, 600, 1999])
+    def test_cut_after_read_wav_returned(self, capsys, monkeypatch, tmp_path, model,
+                                         source, held):
+        path = tmp_path / "late.wav"
+        path.write_bytes(pcm16_wav_bytes(self.N))
+        code, out, err = self.transcribe(capsys, monkeypatch, model, path, source,
+                                         cut_after_read=44 + held)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {data_bytes_message(self.N, held)}\n"
+
+    @pytest.mark.parametrize("source", ["--audio", "--manifest"])
+    def test_whole_file_is_transcribed(self, capsys, monkeypatch, tmp_path, model, source):
+        # the case the others cut short: the same call succeeds
+        path = tmp_path / "whole.wav"
+        path.write_bytes(pcm16_wav_bytes(self.N))
+        code, out, err = self.transcribe(capsys, monkeypatch, model, path, source,
+                                         cut_after_read=44 + 2 * self.N)
+        assert code == 0, err
+        assert out.count("\n") == 1
 
 
 # JSON values a fuzzed manifest line or field may take

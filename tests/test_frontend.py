@@ -2,6 +2,7 @@
 
 import gc
 import math
+import os
 import struct
 import tracemalloc
 import wave
@@ -12,6 +13,16 @@ import pytest
 from lfab import frontend, tensor
 from lfab.errors import AudioFormatError
 from lfab.frontend import AudioBuffer
+
+PIECE_FRAMES = frontend.PIECE_BATCHES * frontend.STFT_BATCH
+
+
+def log_mel_energies(audio):
+    """Unnormalized (T, 80) natural-log mel energies, floored at 1e-10, as
+    log_mel writes them before normalizing."""
+    out = np.empty((frontend.num_frames_for(audio.samples.size), 80))
+    frontend._write_energies(audio, out, out[len(out):])
+    return out
 
 
 def log_mel_energies_reference(audio):
@@ -71,13 +82,13 @@ class TestFraming:
 class TestLogMel:
     def test_silence_hits_log_floor_before_normalization(self):
         audio = AudioBuffer(np.zeros(16000, dtype=np.float32))
-        y = frontend.log_mel_energies(audio)
+        y = log_mel_energies(audio)
         np.testing.assert_array_equal(y, math.log(1e-10))
 
     def test_1khz_sine_peaks_at_nearest_filter(self):
         t = np.arange(16000) / 16000.0
         audio = AudioBuffer((0.5 * np.sin(2 * np.pi * 1000.0 * t)).astype(np.float32))
-        y = frontend.log_mel_energies(audio)
+        y = log_mel_energies(audio)
         got = int(np.argmax(y.mean(axis=0)))
         # 1 kHz is FFT bin 32 exactly; the filter weighting that bin most wins
         bin_1khz = round(1000.0 * frontend.N_FFT / frontend.SAMPLE_RATE)
@@ -108,22 +119,22 @@ class TestLogMel:
         # the head straddles the FFT batch boundary; the long run spans
         # many FFT batches
         audio = frontend.synth_audio(45.0, seed=9)
-        y = frontend.log_mel_energies(audio)
+        y = log_mel_energies(audio)
         n = frontend.STFT_BATCH + 44
-        head = frontend.log_mel_energies(AudioBuffer(audio.samples[: 400 + 160 * (n - 1)]))
+        head = log_mel_energies(AudioBuffer(audio.samples[: 400 + 160 * (n - 1)]))
         assert y[:n].tobytes() == head.tobytes()
         # frame f + 4096 of the long run is frame f of the cut audio
         cut = AudioBuffer(audio.samples[160 * 4096 :])
-        assert y[4096:].tobytes() == frontend.log_mel_energies(cut).tobytes()
+        assert y[4096:].tobytes() == log_mel_energies(cut).tobytes()
 
     @pytest.mark.parametrize("t_frames", [1, 15, 4097, 4111, 2 * 4096 + 1])
     def test_prefix_frames_keep_their_bits(self, t_frames):
         # a batch of fewer than MIN_GEMM_ROWS frames is padded, so a prefix
         # of the audio gets the same features as the whole
         audio = audio_with_frames(t_frames + 40, seed=t_frames)
-        whole = frontend.log_mel_energies(audio)
+        whole = log_mel_energies(audio)
         prefix = AudioBuffer(audio.samples[: 400 + 160 * (t_frames - 1)])
-        assert frontend.log_mel_energies(prefix).tobytes() == whole[:t_frames].tobytes()
+        assert log_mel_energies(prefix).tobytes() == whole[:t_frames].tobytes()
 
     @pytest.mark.parametrize("t_frames", [
         1, 2, 255, 256, 257, 527, 4095, 4096, 4097, 4353,
@@ -131,7 +142,7 @@ class TestLogMel:
     def test_energies_bits_match_reference(self, t_frames):
         audio = audio_with_frames(t_frames, seed=t_frames)
         want = log_mel_energies_reference(audio)
-        assert frontend.log_mel_energies(audio).tobytes() == want.tobytes()
+        assert log_mel_energies(audio).tobytes() == want.tobytes()
 
     def test_normalized_bits_match_out_of_place_formula(self):
         audio = audio_with_frames(frontend.STFT_BATCH + 1, seed=4)
@@ -140,13 +151,25 @@ class TestLogMel:
         got = frontend.log_mel(audio).frames.array
         assert got.tobytes() == z.astype(np.float32).tobytes()
 
-    @pytest.mark.parametrize("t_frames", [1, 2, 3, 17, 255, 4097, 60000])
-    def test_normalization_bits_match_mean_var(self, t_frames, monkeypatch):
+    @pytest.mark.parametrize("t_frames", [
+        1, 2, 3, 17, 255, PIECE_FRAMES - 1, PIECE_FRAMES + 1, 4097, 60000,
+    ])
+    def test_in_place_normalization_matches_mean_var(self, t_frames, monkeypatch):
+        # the energies of rows [0, T // 2) sit in the features' own bytes,
+        # the rest in the half buffer (at T = 1, every row); the running
+        # sums cross from one to the other in row order
         rng = np.random.default_rng(t_frames)
         y = rng.normal(-6.0, 4.0, size=(t_frames, frontend.N_MELS))
-        monkeypatch.setattr(frontend, "log_mel_energies", lambda audio: y.copy())
+
+        def fill(audio, head, tail):
+            assert len(head) == t_frames // 2
+            head[...] = y[: len(head)]
+            tail[...] = y[len(head):]
+
+        monkeypatch.setattr(frontend, "_write_energies", fill)
         z = (y - y.mean(axis=0)) / (np.sqrt(y.var(axis=0)) + 1e-10)
-        got = frontend.log_mel(None).frames.array
+        audio = AudioBuffer(np.zeros(400 + 160 * (t_frames - 1), dtype=np.int16))
+        got = frontend.log_mel(audio).frames.array
         assert got.tobytes() == z.astype(np.float32).tobytes()
 
 
@@ -172,12 +195,14 @@ class TestThreads:
         assert len(got) == 1
 
     def test_wav_features_match_float32_audio(self, tmp_path, monkeypatch):
-        # the PCM16 path gives the bits of the same samples as float32
+        # the PCM16 path, read from the file a piece at a time, gives the
+        # bits of the same samples as float32 held in memory
         path = tmp_path / "u.wav"
-        frontend.write_wav(path, audio_with_frames(frontend.STFT_BATCH * 3 + 5, seed=8))
+        t_frames = PIECE_FRAMES + frontend.STFT_BATCH * 3 + 5
+        frontend.write_wav(path, audio_with_frames(t_frames, seed=8))
         pcm = frontend.read_wav(path)
         want = frontend.log_mel(AudioBuffer(pcm.values())).frames.array.tobytes()
-        for workers in (1, 3):
+        for workers in (1, 2, 3, 5):
             monkeypatch.setattr(tensor, "_WORKERS", workers)
             assert frontend.log_mel(pcm).frames.array.tobytes() == want
 
@@ -188,8 +213,7 @@ class TestMemory:
     CACHED = 2**19
 
     def test_log_mel_heap_peak(self, monkeypatch):
-        # no full-size temporary beyond the float64 energies and the
-        # float32 features
+        # no full-size buffer beyond the features and the half buffer
         monkeypatch.setattr(tensor, "_WORKERS", 1)
         self.check_heap_peak(1)
 
@@ -199,19 +223,17 @@ class TestMemory:
         monkeypatch.setattr(tensor, "_WORKERS", workers)
         self.check_heap_peak(workers)
 
-    def test_wav_pass_holds_no_float32_copy_of_the_audio(self, tmp_path, monkeypatch):
-        # read_wav keeps the PCM16 bytes wave returns and each batch
-        # converts its own span, so no float copy of the audio exists
-        # (4 bytes per sample, 20 per cell); log_mel frees the samples once
-        # the energies exist, so the features (4 bytes per cell) are not
-        # made next to them. At 600 s either would put the peak over the
-        # bound.
+    def test_600s_wav_pass_holds_no_whole_file_pcm(self, tmp_path, monkeypatch):
+        # read_wav leaves the samples in the file and log_mel reads one
+        # piece at a time: the file's PCM16 whole (2 bytes per sample, 40
+        # per cell) would put the peak 19 MB over the bound, as would a
+        # float64 copy of the energies next to the features (4 bytes per
+        # cell)
         workers = max(2, tensor._WORKERS)
         monkeypatch.setattr(tensor, "_WORKERS", workers)
         path = tmp_path / "long.wav"
         frontend.write_wav(path, frontend.synth_audio(600.0, seed=3))
-        n = 600 * frontend.SAMPLE_RATE
-        cells = frontend.num_frames_for(n) * frontend.N_MELS
+        cells = frontend.num_frames_for(600 * frontend.SAMPLE_RATE) * frontend.N_MELS
         gc.collect()
         tracemalloc.start()
         try:
@@ -220,28 +242,32 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= self.heap_bound(workers, cells, samples=2 * n)
+        piece = 2 * (frontend.HOP_SAMPLES * (PIECE_FRAMES - 1) + frontend.WINDOW_SAMPLES)
+        assert peak <= self.heap_bound(workers, cells, piece=piece)
 
     @staticmethod
     def batch_buffers(workers):
-        """Per worker: the batch's float64 samples, windowed frames, the
-        complex spectrum (squared in place) and power, and numpy's ufunc
-        buffers (three operands of np.getbufsize() float64s)."""
+        """Per worker: the windowed frames, the complex spectrum (squared in
+        place), the power and mel rows, and numpy's ufunc buffers (three
+        operands of np.getbufsize() float64s)."""
         rows, bins = frontend.STFT_BATCH, frontend.N_FFT // 2 + 1
-        span = 8 * (frontend.HOP_SAMPLES * (rows - 1) + frontend.WINDOW_SAMPLES)
         ufunc = 3 * 8 * np.getbufsize()
-        return workers * (span + 8 * rows * frontend.N_FFT + 16 * rows * bins
-                          + 8 * rows * bins + ufunc)
+        return workers * (8 * rows * frontend.N_FFT + 16 * rows * bins
+                          + 8 * rows * (bins + frontend.N_MELS) + ufunc)
 
     @classmethod
-    def heap_bound(cls, workers, cells, samples=0):
+    def heap_bound(cls, workers, cells, piece=0):
         """The larger of the two phases' heaps, plus CACHED. Energies: the
-        traced samples, the float64 energies and the batch buffers.
-        Normalization: the energies, the float32 features, the variance's
-        block of squares and one set of ufunc buffers (the features' cast)."""
-        energies = samples + 8 * cells + cls.batch_buffers(workers)
-        norm = (12 * cells + 8 * (frontend.NORM_BLOCK + 1) * frontend.N_MELS
-                + 3 * 8 * np.getbufsize())
+        features and the half buffer (8 bytes per cell, and the half
+        buffer's row of sums), the piece of PCM read (none for audio in
+        memory) and the batch buffers. Normalization: 8 bytes per cell and
+        one block of scratch: the block of squares, numpy's copy of the
+        first block (whose rows its output overlaps) and one set of ufunc
+        buffers (the features' cast)."""
+        row = 8 * frontend.N_MELS
+        cells_bytes = 8 * cells + row
+        energies = cells_bytes + piece + cls.batch_buffers(workers)
+        norm = cells_bytes + (2 * frontend.NORM_BLOCK + 1) * row + 3 * 8 * np.getbufsize()
         return max(energies, norm) + cls.CACHED
 
     @classmethod
@@ -264,7 +290,7 @@ class TestWavIO:
         f = tmp_path / "one.wav"
         write_pcm16(f, [32767, 0, -32768, 0])
         audio = frontend.read_wav(f)
-        assert audio.samples.dtype == np.int16  # the PCM16 buffer wave returned
+        assert audio.samples.dtype == np.int16  # left in the file as PCM16
         assert audio.values()[0] == np.float32(32767 / 32768)
         assert audio.values()[2] == np.float32(-1.0)
 
@@ -313,6 +339,39 @@ class TestWavIO:
         write_pcm16(f, [0] * 800)
         f.write_bytes(f.read_bytes()[:-1])
         with pytest.raises(AudioFormatError, match="ends mid-sample: 1599 bytes"):
+            frontend.read_wav(f)
+
+    def test_samples_stay_in_the_file(self, tmp_path):
+        f = tmp_path / "kept.wav"
+        write_pcm16(f, np.arange(-1200, 1200, 2))
+        audio = frontend.read_wav(f)
+        assert isinstance(audio.samples, frontend.WavSamples)
+        assert audio.samples.size == 1200
+        assert audio.samples[5:8].tolist() == [-1190, -1188, -1186]
+
+    def test_rename_over_the_file_keeps_the_samples_read_wav_checked(self, tmp_path):
+        f, other = tmp_path / "a.wav", tmp_path / "b.wav"
+        frontend.write_wav(f, frontend.synth_audio(0.5, seed=1))
+        frontend.write_wav(other, frontend.synth_audio(0.5, seed=2))
+        want = frontend.log_mel(frontend.read_wav(f)).frames.array.tobytes()
+        audio = frontend.read_wav(f)
+        os.replace(other, f)
+        assert frontend.log_mel(audio).frames.array.tobytes() == want
+
+    @pytest.mark.parametrize("held, message", [
+        (0, "declares 8000 samples, the file holds 0 bytes"),
+        (7777, "ends mid-sample: 7777 bytes"),
+        (15998, "declares 8000 samples, the file holds 15998 bytes"),
+    ])
+    def test_file_cut_after_read_wav_fails_as_read_wav_would(self, tmp_path, held, message):
+        f = tmp_path / "cut.wav"
+        frontend.write_wav(f, frontend.synth_audio(0.5, seed=1))
+        audio = frontend.read_wav(f)
+        with open(f, "r+b") as fh:
+            fh.truncate(44 + held)
+        with pytest.raises(AudioFormatError, match=message):
+            frontend.log_mel(audio)
+        with pytest.raises(AudioFormatError, match=message):
             frontend.read_wav(f)
 
     def test_round_trip_data_chunk_identical(self, tmp_path):
