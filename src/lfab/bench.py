@@ -154,9 +154,10 @@ def _decode(model: EncoderModel, decoder: str, enc):
     if decoder == "ctc":
         return decoders.ctc_greedy(encoders.ctc_logits(model, enc), vocab)
     if decoder == "rnnt":
-        if model.rnnt_head is None:
+        head = model.rnnt_head
+        if head is None:
             raise ConfigError("model has no rnnt head attached")
-        return decoders.rnnt_greedy(enc, model.rnnt_head, vocab)
+        return decoders.rnnt_greedy(enc, head, vocab)
     raise ConfigError(f"unknown decoder {decoder!r}, expected ctc or rnnt")
 
 
@@ -298,7 +299,7 @@ def ctc_rnnt_divergence(
     vectorised CTC scan amortises its fixed per-call cost with length
     while the autoregressive loop pays a fixed price per joint evaluation.
     """
-    if model.ctc_head is None or model.rnnt_head is None:
+    if "head.ctc.w" not in model.weights:  # attach_heads adds both heads
         raise ConfigError("divergence needs both heads attached to one encoder")
     rows = []
     for d in durations:

@@ -147,11 +147,13 @@ def resolve_run_config(name_or_path: str) -> RunConfig:
             raise ConfigError(
                 f"{name_or_path!r} is neither a preset ({names}) nor a config file"
             )
-        with open(name_or_path, encoding="utf-8") as f:
-            try:
+        try:
+            with open(name_or_path, encoding="utf-8") as f:
                 raw = json.load(f)
-            except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                raise ConfigError(f"config file {name_or_path!r}: {e}") from e
+        except OSError as e:  # a directory, say, or a file without read permission
+            raise ConfigError(f"config file {name_or_path!r}: {e.strerror}") from e
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+            raise ConfigError(f"config file {name_or_path!r}: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {name_or_path!r} must hold a JSON object")
     seed = raw.pop("seed", 0)

@@ -5,15 +5,19 @@ where T' = T / downsample_rate (4x for the conv-only family, 8x otherwise).
 Convolutions run channels-first; "same" padding everywhere, so frame counts
 follow ceil(T / stride) per strided layer.
 
-Weights are drawn uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a single
-seeded generator in a fixed order, so a (config, seed) pair pins every bit of
-the model. Norm layers start as pass-throughs (gamma 1, beta 0, stats 0/1).
+A model is its config, its seed and one dict of named weights. One entry
+list (_entries, and _head_entries for the heads) names every weight with its
+shape and init in draw order, which is also the weights file's order. build
+draws the entries uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a single
+seeded generator, so a (config, seed) pair pins every bit of the model, or
+loads them by name from a weights file. Norm layers start as pass-throughs
+(gamma 1, beta 0, stats 0/1). The forward pass reads the dict by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,21 +116,7 @@ class EncoderConfig:
 
 
 # ---------------------------------------------------------------------------
-# layer containers
-
-
-@dataclass
-class BatchNorm:
-    gamma: Tensor
-    beta: Tensor
-    mean: Tensor
-    var: Tensor
-
-
-@dataclass
-class SEWeights:
-    w1: Tensor  # (C // r, C)
-    w2: Tensor  # (C, C // r)
+# the model and its entry list
 
 
 @dataclass(frozen=True)
@@ -146,157 +136,41 @@ class ConvSpec:
     se: bool
     batch_norm: bool
 
-
-@dataclass
-class ConvBlock:
-    spec: ConvSpec
-    w_dw: Tensor  # (C_in, K)
-    w_pw: Tensor  # (C_out, C_in)
-    bn: BatchNorm | None
-    se: SEWeights | None
-
     @property
     def residual(self) -> bool:
-        return self.spec.stride == 1 and self.spec.c_in == self.spec.c_out
+        return self.stride == 1 and self.c_in == self.c_out
 
 
-@dataclass
-class LayerNormParams:
-    gamma: Tensor
-    beta: Tensor
-
-
-@dataclass
-class FeedForward:
-    w1: Tensor  # (ff, D)
-    b1: Tensor
-    w2: Tensor  # (D, ff)
-    b2: Tensor
-
-
-@dataclass
-class ConvModule:
-    w_pw1: Tensor  # (2D, D) -> GLU halves
-    w_dw: Tensor  # (D, K)
-    bn: BatchNorm
-    w_pw2: Tensor  # (D, D)
-
-
-@dataclass
-class ConformerBlock:
-    ln_ff1: LayerNormParams
-    ff1: FeedForward
-    ln_att: LayerNormParams
-    att: AttentionWeights
-    ln_conv: LayerNormParams
-    conv: ConvModule
-    ln_ff2: LayerNormParams
-    ff2: FeedForward
-
-
-@dataclass
-class CtcHead:
-    w: Tensor  # (V+1, D)
-    b: Tensor
+RNNT_EMBED_DIM = 64
+RNNT_HIDDEN_DIM = 64
+RNNT_JOINT_DIM = 64
+_HEAD_SEED_OFFSET = 0x5EED
+# the RNNT head's entries, after "head.rnnt.", in RnntDecoderWeights' field order
+_RNNT_NAMES = ("embedding", "lstm.w_x", "lstm.w_h", "lstm.b",
+               "joint.w_e", "joint.w_p", "joint.b", "joint.w_out")
+# a block's attention entries, after "att.", in AttentionWeights' field order
+_ATTENTION_NAMES = ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o")
 
 
 @dataclass
 class EncoderModel:
+    """A config, a seed and the named weights in draw order, which is also
+    the weights file's order. The forward pass reads the weights by name."""
+
     config: EncoderConfig
     seed: int
     weights: dict[str, Tensor]
-    conv_stack: list[ConvBlock] = field(default_factory=list)
-    epilogue: Tensor | None = None  # (model_dim, C) pointwise, SE families
-    proj_w: Tensor | None = None
-    proj_b: Tensor | None = None
-    blocks: list[ConformerBlock] = field(default_factory=list)
-    final_ln: LayerNormParams | None = None
-    ctc_head: CtcHead | None = None
-    rnnt_head: RnntDecoderWeights | None = None
 
     @property
     def parameter_count(self) -> int:
         return sum(t.size for t in self.weights.values())
 
-
-# ---------------------------------------------------------------------------
-# init helpers
-
-
-class _Registry:
-    """Draws weights in declaration order from one generator and names them.
-
-    With a source dict, entries are taken from it by name (shape-checked)
-    instead of drawn, so a stored model reloads into the same structure.
-    """
-
-    def __init__(self, seed: int, source: dict[str, Tensor] | None = None):
-        self.rng = np.random.default_rng(seed)
-        self.weights: dict[str, Tensor] = {}
-        self.source = source
-
-    def _add(self, name: str, t: Tensor) -> Tensor:
-        if name in self.weights:
-            raise ConfigError(f"duplicate weight name {name}")
-        self.weights[name] = t
-        return t
-
-    def _take(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        try:
-            t = self.source.pop(name)
-        except KeyError:
-            raise WeightsFormatError(f"weights are missing entry {name!r}") from None
-        if t.shape != tuple(shape):
-            raise WeightsFormatError(
-                f"weights entry {name!r} has shape {t.shape}, expected {tuple(shape)}"
-            )
-        return self._add(name, t)
-
-    def uniform(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
-        if self.source is not None:
-            return self._take(name, shape)
-        bound = 1.0 / math.sqrt(fan_in)
-        return self._add(name, Tensor(self.rng.uniform(-bound, bound, size=shape).astype(np.float32)))
-
-    def const(self, name: str, shape: tuple[int, ...], value: float) -> Tensor:
-        if self.source is not None:
-            return self._take(name, shape)
-        return self._add(name, Tensor._wrap(np.full(shape, value, dtype=np.float32)))
-
-    def batch_norm(self, prefix: str, c: int) -> BatchNorm:
-        return BatchNorm(
-            gamma=self.const(f"{prefix}.bn.gamma", (c,), 1.0),
-            beta=self.const(f"{prefix}.bn.beta", (c,), 0.0),
-            mean=self.const(f"{prefix}.bn.mean", (c,), 0.0),
-            var=self.const(f"{prefix}.bn.var", (c,), 1.0),
-        )
-
-    def layer_norm(self, prefix: str, d: int) -> LayerNormParams:
-        return LayerNormParams(
-            gamma=self.const(f"{prefix}.gamma", (d,), 1.0),
-            beta=self.const(f"{prefix}.beta", (d,), 0.0),
-        )
-
-    def conv_block(self, spec: ConvSpec) -> ConvBlock:
-        p, c_in, c_out = spec.prefix, spec.c_in, spec.c_out
-        se = None
-        if spec.se:
-            hidden = max(1, c_out // SE_REDUCTION)
-            se = SEWeights(
-                w1=self.uniform(f"{p}.se.w1", (hidden, c_out), c_out),
-                w2=self.uniform(f"{p}.se.w2", (c_out, hidden), hidden),
-            )
-        return ConvBlock(
-            spec=spec,
-            w_dw=self.uniform(f"{p}.dw", (c_in, spec.k), spec.k),
-            w_pw=self.uniform(f"{p}.pw", (c_out, c_in), c_in),
-            bn=self.batch_norm(p, c_out) if spec.batch_norm else None,
-            se=se,
-        )
-
-
-# ---------------------------------------------------------------------------
-# layer schedule and build
+    @property
+    def rnnt_head(self) -> RnntDecoderWeights | None:
+        """The RNNT head's weights from the dict; None before attach_heads."""
+        if "head.rnnt.embedding" not in self.weights:
+            return None
+        return RnntDecoderWeights(*(self.weights[f"head.rnnt.{n}"] for n in _RNNT_NAMES))
 
 
 def conv_schedule(cfg: EncoderConfig) -> list[ConvSpec]:
@@ -338,67 +212,119 @@ def conv_schedule(cfg: EncoderConfig) -> list[ConvSpec]:
     return specs
 
 
-def _build_conformer_body(model: EncoderModel, reg: _Registry) -> None:
-    """Projection, conformer blocks and final norm, after the subsampling."""
-    cfg = model.config
-    d, c, ff = cfg.model_dim, cfg.channels, FF_EXPANSION * cfg.model_dim
-    model.proj_w = reg.uniform("proj.w", (d, c), c)
-    model.proj_b = reg.uniform("proj.b", (d,), c)
+def _batch_norm_entries(prefix: str, c: int):
+    for name, value in (("gamma", 1.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0)):
+        yield f"{prefix}.bn.{name}", (c,), value
+
+
+def _layer_norm_entries(prefix: str, d: int):
+    yield f"{prefix}.gamma", (d,), 1.0
+    yield f"{prefix}.beta", (d,), 0.0
+
+
+def _feed_forward_entries(prefix: str, d: int, ff: int):
+    yield f"{prefix}.w1", (ff, d), d
+    yield f"{prefix}.b1", (ff,), d
+    yield f"{prefix}.w2", (d, ff), ff
+    yield f"{prefix}.b2", (d,), ff
+
+
+def _entries(cfg: EncoderConfig):
+    """(name, shape, init) of every encoder weight, in draw order. init is
+    a fan-in (int) to draw from or a constant (float) to fill with.
+
+    The conv schedule (per layer: SE, depthwise, pointwise, batch norm),
+    then the SE families' pointwise epilogue or the conformer body: the
+    projection, per block its attention, then its norms and sublayers in
+    forward order, and the final norm.
+    """
+    specs = conv_schedule(cfg)
+    for spec in specs:
+        p, c_in, c_out = spec.prefix, spec.c_in, spec.c_out
+        if spec.se:
+            hidden = max(1, c_out // SE_REDUCTION)
+            yield f"{p}.se.w1", (hidden, c_out), c_out
+            yield f"{p}.se.w2", (c_out, hidden), hidden
+        yield f"{p}.dw", (c_in, spec.k), spec.k
+        yield f"{p}.pw", (c_out, c_in), c_in
+        if spec.batch_norm:
+            yield from _batch_norm_entries(p, c_out)
+    if cfg.family in (CONV_SE, CONV_SE_CITRINET):
+        c = specs[-1].c_out
+        yield "epilogue.pw", (cfg.model_dim, c), c
+    if cfg.family not in _CONFORMER_FAMILIES:
+        return
+    d, c, ff, k = cfg.model_dim, cfg.channels, FF_EXPANSION * cfg.model_dim, cfg.kernel_size
+    yield "proj.w", (d, c), c
+    yield "proj.b", (d,), c
     for i in range(cfg.num_blocks):
         p = f"block.{i}"
-        att_fields = {
-            nm: reg.uniform(f"{p}.att.{nm}", (d, d), d)
-            for nm in ("w_q", "w_k", "w_v", "w_o")
-        }
-        att_fields.update(
-            (nm, reg.uniform(f"{p}.att.{nm}", (d,), d))
-            for nm in ("b_q", "b_k", "b_v", "b_o")
-        )
-        gt = (
-            reg.uniform(f"{p}.att.global_token", (1, d), d)
-            if cfg.attention.use_global_token
-            else None
-        )
-        att_w = AttentionWeights(**att_fields, global_token=gt)
-        model.blocks.append(ConformerBlock(
-            ln_ff1=reg.layer_norm(f"{p}.ln_ff1", d),
-            ff1=FeedForward(
-                w1=reg.uniform(f"{p}.ff1.w1", (ff, d), d),
-                b1=reg.uniform(f"{p}.ff1.b1", (ff,), d),
-                w2=reg.uniform(f"{p}.ff1.w2", (d, ff), ff),
-                b2=reg.uniform(f"{p}.ff1.b2", (d,), ff),
-            ),
-            ln_att=reg.layer_norm(f"{p}.ln_att", d),
-            att=att_w,
-            ln_conv=reg.layer_norm(f"{p}.ln_conv", d),
-            conv=ConvModule(
-                w_pw1=reg.uniform(f"{p}.conv.pw1", (2 * d, d), d),
-                w_dw=reg.uniform(f"{p}.conv.dw", (d, cfg.kernel_size), cfg.kernel_size),
-                bn=reg.batch_norm(f"{p}.conv", d),
-                w_pw2=reg.uniform(f"{p}.conv.pw2", (d, d), d),
-            ),
-            ln_ff2=reg.layer_norm(f"{p}.ln_ff2", d),
-            ff2=FeedForward(
-                w1=reg.uniform(f"{p}.ff2.w1", (ff, d), d),
-                b1=reg.uniform(f"{p}.ff2.b1", (ff,), d),
-                w2=reg.uniform(f"{p}.ff2.w2", (d, ff), ff),
-                b2=reg.uniform(f"{p}.ff2.b2", (d,), ff),
-            ),
-        ))
-    model.final_ln = reg.layer_norm("final_ln", d)
+        for name in _ATTENTION_NAMES:
+            yield f"{p}.att.{name}", (d, d) if name.startswith("w") else (d,), d
+        if cfg.attention.use_global_token:
+            yield f"{p}.att.global_token", (1, d), d
+        yield from _layer_norm_entries(f"{p}.ln_ff1", d)
+        yield from _feed_forward_entries(f"{p}.ff1", d, ff)
+        yield from _layer_norm_entries(f"{p}.ln_att", d)
+        yield from _layer_norm_entries(f"{p}.ln_conv", d)
+        yield f"{p}.conv.pw1", (2 * d, d), d
+        yield f"{p}.conv.dw", (d, k), k
+        yield from _batch_norm_entries(f"{p}.conv", d)
+        yield f"{p}.conv.pw2", (d, d), d
+        yield from _layer_norm_entries(f"{p}.ln_ff2", d)
+        yield from _feed_forward_entries(f"{p}.ff2", d, ff)
+    yield from _layer_norm_entries("final_ln", d)
+
+
+def _head_entries(d: int):
+    """The CTC head, then the RNNT head, over d-wide encoder frames."""
+    v, e, h, j = default_vocab().size, RNNT_EMBED_DIM, RNNT_HIDDEN_DIM, RNNT_JOINT_DIM
+    yield "head.ctc.w", (v + 1, d), d
+    yield "head.ctc.b", (v + 1,), d
+    rnnt = [((v, e), e), ((4 * h, e), e), ((4 * h, h), h), ((4 * h,), h),
+            ((j, d), d), ((j, h), h), ((j,), h), ((v + 1, j), j)]
+    for name, (shape, fan_in) in zip(_RNNT_NAMES, rnnt):
+        yield f"head.rnnt.{name}", shape, fan_in
+
+
+def _draw(weights: dict[str, Tensor], entries, seed: int,
+          source: dict[str, Tensor] | None) -> None:
+    """Add each entry to weights, drawn from one generator seeded with seed
+    or, with a source dict, popped from it by name and shape-checked."""
+    rng = np.random.default_rng(seed)
+    for name, shape, init in entries:
+        if name in weights:
+            raise ConfigError(f"duplicate weight name {name}")
+        if source is not None:
+            try:
+                t = source.pop(name)
+            except KeyError:
+                raise WeightsFormatError(f"weights are missing entry {name!r}") from None
+            if t.shape != shape:
+                raise WeightsFormatError(
+                    f"weights entry {name!r} has shape {t.shape}, expected {shape}"
+                )
+        elif isinstance(init, float):
+            t = Tensor._wrap(np.full(shape, init, dtype=np.float32))
+        else:
+            bound = 1.0 / math.sqrt(init)
+            t = Tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+        weights[name] = t
 
 
 def build(cfg: EncoderConfig, seed: int, source: dict[str, Tensor] | None = None) -> EncoderModel:
     """Build a model; with source, weights load by name instead of being drawn."""
-    reg = _Registry(seed, source)
-    model = EncoderModel(config=cfg, seed=seed, weights=reg.weights,
-                         conv_stack=[reg.conv_block(s) for s in conv_schedule(cfg)])
-    if cfg.family in _CONFORMER_FAMILIES:
-        _build_conformer_body(model, reg)
-    elif cfg.family in (CONV_SE, CONV_SE_CITRINET):
-        c = model.conv_stack[-1].spec.c_out
-        model.epilogue = reg.uniform("epilogue.pw", (cfg.model_dim, c), c)
+    model = EncoderModel(config=cfg, seed=seed, weights={})
+    _draw(model.weights, _entries(cfg), seed, source)
     _check_count(model)
+    return model
+
+
+def attach_heads(model: EncoderModel, source: dict[str, Tensor] | None = None) -> EncoderModel:
+    """Attach the CTC head, then the RNNT head, both over the encoder's
+    output and the default vocabulary. Build-phase only."""
+    _draw(model.weights, _head_entries(model.config.model_dim),
+          model.seed + _HEAD_SEED_OFFSET, source)
     return model
 
 
@@ -461,41 +387,7 @@ def _check_count(model: EncoderModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# heads
-
-
-RNNT_EMBED_DIM = 64
-RNNT_HIDDEN_DIM = 64
-RNNT_JOINT_DIM = 64
-_HEAD_SEED_OFFSET = 0x5EED
-
-
-def attach_heads(model: EncoderModel, source: dict[str, Tensor] | None = None) -> EncoderModel:
-    """Attach the CTC head, then the RNNT head, both over the encoder's
-    output and the default vocabulary. Build-phase only."""
-    v, d = default_vocab().size, model.config.model_dim
-    e, h, j = RNNT_EMBED_DIM, RNNT_HIDDEN_DIM, RNNT_JOINT_DIM
-    reg = _Registry(model.seed + _HEAD_SEED_OFFSET, source)
-    reg.weights = model.weights
-    model.ctc_head = CtcHead(
-        w=reg.uniform("head.ctc.w", (v + 1, d), d),
-        b=reg.uniform("head.ctc.b", (v + 1,), d),
-    )
-    model.rnnt_head = RnntDecoderWeights(
-        embedding=reg.uniform("head.rnnt.embedding", (v, e), e),
-        lstm_w_x=reg.uniform("head.rnnt.lstm.w_x", (4 * h, e), e),
-        lstm_w_h=reg.uniform("head.rnnt.lstm.w_h", (4 * h, h), h),
-        lstm_b=reg.uniform("head.rnnt.lstm.b", (4 * h,), h),
-        w_enc=reg.uniform("head.rnnt.joint.w_e", (j, d), d),
-        w_pred=reg.uniform("head.rnnt.joint.w_p", (j, h), h),
-        b_joint=reg.uniform("head.rnnt.joint.b", (j,), h),
-        w_out=reg.uniform("head.rnnt.joint.w_out", (v + 1, j), j),
-    )
-    return model
-
-
-# ---------------------------------------------------------------------------
-# forward passes
+# forward passes: each layer reads its weights from the dict by name
 
 
 def se_module(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
@@ -508,16 +400,24 @@ def se_module(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
 
 
 _ACTS = {"relu": tensor.relu, "silu": tensor.silu}
+_ATTENTION = {CONFORMER_FULL: mha_full, CONFORMER_LCA: lca_chunked,
+              CONFORMER_LCA_GT: lca_global_token}
 
 
-def _conv_block_forward(x: Tensor, blk: ConvBlock) -> Tensor:
-    y = tensor.depthwise_separable_conv1d(x, blk.w_dw, blk.w_pw, stride=blk.spec.stride)
-    if blk.bn is not None:
-        y = tensor.batch_norm_infer(y, blk.bn.gamma, blk.bn.beta, blk.bn.mean, blk.bn.var)
-    y = _ACTS[blk.spec.activation](y)
-    if blk.se is not None:
-        y = se_module(y, blk.se.w1, blk.se.w2)
-    if blk.residual:
+def _bn(x: Tensor, w: dict[str, Tensor], prefix: str) -> Tensor:
+    return tensor.batch_norm_infer(x, w[f"{prefix}.bn.gamma"], w[f"{prefix}.bn.beta"],
+                                   w[f"{prefix}.bn.mean"], w[f"{prefix}.bn.var"])
+
+
+def _conv_block_forward(x: Tensor, w: dict[str, Tensor], spec: ConvSpec) -> Tensor:
+    p = spec.prefix
+    y = tensor.depthwise_separable_conv1d(x, w[f"{p}.dw"], w[f"{p}.pw"], stride=spec.stride)
+    if spec.batch_norm:
+        y = _bn(y, w, p)
+    y = _ACTS[spec.activation](y)
+    if spec.se:
+        y = se_module(y, w[f"{p}.se.w1"], w[f"{p}.se.w2"])
+    if spec.residual:
         y = tensor.add(x, y)
     return y
 
@@ -531,41 +431,43 @@ def sinusoidal_positions(t: int, d: int) -> Tensor:
     return Tensor._wrap(pe.astype(np.float32))
 
 
-def _feed_forward(x: Tensor, ff: FeedForward) -> Tensor:
-    h = tensor.silu(tensor.linear_rows(x, ff.w1, ff.b1))
-    return tensor.linear_rows(h, ff.w2, ff.b2)
+def _feed_forward(x: Tensor, w: dict[str, Tensor], prefix: str) -> Tensor:
+    h = tensor.silu(tensor.linear_rows(x, w[f"{prefix}.w1"], w[f"{prefix}.b1"]))
+    return tensor.linear_rows(h, w[f"{prefix}.w2"], w[f"{prefix}.b2"])
 
 
-def _conv_module_forward(x: Tensor, cm: ConvModule) -> Tensor:
-    d = x.shape[1]
-    z = tensor.matmul(cm.w_pw1, tensor.transpose(x))  # (2D, T)
+def _conv_module_forward(x: Tensor, w: dict[str, Tensor], prefix: str) -> Tensor:
+    d, w_dw = x.shape[1], w[f"{prefix}.dw"]
+    z = tensor.matmul(w[f"{prefix}.pw1"], tensor.transpose(x))  # (2D, T)
     # the GLU halves are views of z's rows; z stays referenced while they live
     gated = tensor.mul(Tensor._wrap(z.array[:d]), tensor.sigmoid(Tensor._wrap(z.array[d:])))
-    y = tensor.conv1d(gated, Tensor._wrap(cm.w_dw.array.reshape(d, 1, cm.w_dw.shape[1])))
-    y = tensor.batch_norm_infer(y, cm.bn.gamma, cm.bn.beta, cm.bn.mean, cm.bn.var)
+    y = tensor.conv1d(gated, Tensor._wrap(w_dw.array.reshape(d, 1, w_dw.shape[1])))
+    y = _bn(y, w, prefix)
     y = tensor.silu(y)
-    return tensor.transpose(tensor.matmul(cm.w_pw2, y))
+    return tensor.transpose(tensor.matmul(w[f"{prefix}.pw2"], y))
 
 
-def _attention_forward(x: Tensor, w: AttentionWeights, cfg: EncoderConfig) -> Tensor:
-    if cfg.family == CONFORMER_FULL:
-        return mha_full(x, w, cfg.attention)
-    if cfg.family == CONFORMER_LCA:
-        return lca_chunked(x, w, cfg.attention)
-    return lca_global_token(x, w, cfg.attention)
+def _attention_weights(w: dict[str, Tensor], prefix: str, cfg: EncoderConfig) -> AttentionWeights:
+    p = f"{prefix}.att"
+    gt = w[f"{p}.global_token"] if cfg.attention.use_global_token else None
+    return AttentionWeights(*(w[f"{p}.{name}"] for name in _ATTENTION_NAMES), global_token=gt)
 
 
-def _ln(x: Tensor, p: LayerNormParams) -> Tensor:
-    return tensor.layer_norm(x, p.gamma, p.beta)
+def _ln(x: Tensor, w: dict[str, Tensor], prefix: str) -> Tensor:
+    return tensor.layer_norm(x, w[f"{prefix}.gamma"], w[f"{prefix}.beta"])
 
 
-def conformer_block_forward(x: Tensor, blk: ConformerBlock, cfg: EncoderConfig) -> Tensor:
+def conformer_block_forward(x: Tensor, w: dict[str, Tensor], prefix: str,
+                            cfg: EncoderConfig) -> Tensor:
     """Pre-norm: half FF, attention, conv module, half FF; residual around each."""
-    half = Tensor._wrap(np.float32(0.5) * _feed_forward(_ln(x, blk.ln_ff1), blk.ff1).array)
+    half = Tensor._wrap(np.float32(0.5) * _feed_forward(
+        _ln(x, w, f"{prefix}.ln_ff1"), w, f"{prefix}.ff1").array)
     x = tensor.add(x, half)
-    x = tensor.add(x, _attention_forward(_ln(x, blk.ln_att), blk.att, cfg))
-    x = tensor.add(x, _conv_module_forward(_ln(x, blk.ln_conv), blk.conv))
-    half = Tensor._wrap(np.float32(0.5) * _feed_forward(_ln(x, blk.ln_ff2), blk.ff2).array)
+    att_w = _attention_weights(w, prefix, cfg)
+    x = tensor.add(x, _ATTENTION[cfg.family](_ln(x, w, f"{prefix}.ln_att"), att_w, cfg.attention))
+    x = tensor.add(x, _conv_module_forward(_ln(x, w, f"{prefix}.ln_conv"), w, f"{prefix}.conv"))
+    half = Tensor._wrap(np.float32(0.5) * _feed_forward(
+        _ln(x, w, f"{prefix}.ln_ff2"), w, f"{prefix}.ff2").array)
     return tensor.add(x, half)
 
 
@@ -575,26 +477,28 @@ def encode(model: EncoderModel, feats: Tensor) -> Tensor:
     over its only reference to feats has them freed once transposed."""
     if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
         raise ShapeError(f"features must be (T, {FEATURE_DIM}), got {feats.shape}")
-    t, ds = feats.shape[0], model.config.downsample_rate
+    cfg, w = model.config, model.weights
+    t, ds = feats.shape[0], cfg.downsample_rate
     if t < ds:
         raise ShapeError(f"input too short: {t} frames, need at least {ds}")
     x = tensor.transpose(feats)  # (80, T)
     del feats
-    for blk in model.conv_stack:
-        x = _conv_block_forward(x, blk)
-    if model.epilogue is not None:
-        x = tensor.matmul(model.epilogue, x)
+    for spec in conv_schedule(cfg):
+        x = _conv_block_forward(x, w, spec)
+    if cfg.family in (CONV_SE, CONV_SE_CITRINET):
+        x = tensor.matmul(w["epilogue.pw"], x)
     x = tensor.transpose(x)
-    if model.config.family not in _CONFORMER_FAMILIES:
+    if cfg.family not in _CONFORMER_FAMILIES:
         return x
-    x = tensor.linear_rows(x, model.proj_w, model.proj_b)
+    x = tensor.linear_rows(x, w["proj.w"], w["proj.b"])
     x = tensor.add(x, sinusoidal_positions(x.shape[0], x.shape[1]))
-    for blk in model.blocks:
-        x = conformer_block_forward(x, blk, model.config)
-    return _ln(x, model.final_ln)
+    for i in range(cfg.num_blocks):
+        x = conformer_block_forward(x, w, f"block.{i}", cfg)
+    return _ln(x, w, "final_ln")
 
 
 def ctc_logits(model: EncoderModel, encoded: Tensor) -> Tensor:
-    if model.ctc_head is None:
+    w = model.weights
+    if "head.ctc.w" not in w:
         raise ConfigError("model has no ctc head attached")
-    return tensor.linear_rows(encoded, model.ctc_head.w, model.ctc_head.b)
+    return tensor.linear_rows(encoded, w["head.ctc.w"], w["head.ctc.b"])

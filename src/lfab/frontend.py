@@ -155,6 +155,8 @@ def read_wav(path) -> AudioBuffer:
             reason = (getattr(exc, "strerror", None) or str(exc)
                       or "file ends before its RIFF and fmt headers are complete")
             raise AudioFormatError(f"not a readable RIFF wav file: {reason}") from exc
+        except RecursionError:
+            raise  # a RuntimeError too, but a fault of the program, not the file
         except RuntimeError as exc:
             # wave raises a bare RuntimeError when a chunk it skips runs past
             # the end of the RIFF chunk

@@ -148,22 +148,23 @@ def test_criterion_04_rtf_arithmetic_and_trend():
 def test_criterion_05_ctc_rnnt_divergence():
     with criterion(5, "shared-encoder RNNT costs at least CTC, never less"):
         model = conv_model_with_heads()
-        head = model.rnnt_head
-        keep = (head.w_enc, head.w_pred, head.b_joint, head.w_out)
+        w = model.weights
+        keep = {n: w[n] for n in ("head.rnnt.joint.w_e", "head.rnnt.joint.w_p",
+                                  "head.rnnt.joint.b", "head.rnnt.joint.w_out")}
         # hold the emission rate: token 0 wins every joint eval, so every
         # frame emits the full per-frame cap regardless of audio content
-        j = head.b_joint.shape[0]
+        j = w["head.rnnt.joint.b"].shape[0]
         forced = -np.ones((29, j), dtype=np.float32)
         forced[0] = 1.0
-        head.w_enc = Tensor.zeros(head.w_enc.shape)
-        head.w_pred = Tensor.zeros(head.w_pred.shape)
-        head.b_joint = Tensor(np.ones(j, dtype=np.float32))
-        head.w_out = Tensor(forced)
+        w["head.rnnt.joint.w_e"] = Tensor.zeros(w["head.rnnt.joint.w_e"].shape)
+        w["head.rnnt.joint.w_p"] = Tensor.zeros(w["head.rnnt.joint.w_p"].shape)
+        w["head.rnnt.joint.b"] = Tensor(np.ones(j, dtype=np.float32))
+        w["head.rnnt.joint.w_out"] = Tensor(forced)
         try:
             rows = bench.ctc_rnnt_divergence(model, [30, 120, 600], seed=0,
                                              repeats=3, rel_tol=0.05)
         finally:
-            head.w_enc, head.w_pred, head.b_joint, head.w_out = keep
+            w.update(keep)
         cap_plus_one = decoders.MAX_SYMBOLS_PER_FRAME + 1
         for r in rows:
             assert r["ratio"] >= 1.0, r

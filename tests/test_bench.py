@@ -391,41 +391,45 @@ class TestMemoryModelReference:
         assert seen == set(encoders.FAMILIES)
 
 
+JOINT_NAMES = ("head.rnnt.joint.w_e", "head.rnnt.joint.w_p", "head.rnnt.joint.b",
+               "head.rnnt.joint.w_out")
+
+
 class TestDivergence:
     def test_blank_forcing_gives_minimal_evals(self, conv_model):
-        w = conv_model.rnnt_head
-        keep = (w.w_enc, w.w_pred, w.b_joint, w.w_out)
-        j = w.b_joint.shape[0]
+        w = conv_model.weights
+        keep = {n: w[n] for n in JOINT_NAMES}
+        j = w["head.rnnt.joint.b"].shape[0]
         out = -np.ones((29, j), dtype=np.float32)
         out[28] = 1.0
-        w.w_enc = Tensor.zeros(w.w_enc.shape)
-        w.w_pred = Tensor.zeros(w.w_pred.shape)
-        w.b_joint = Tensor(np.ones(j, dtype=np.float32))
-        w.w_out = Tensor(out)
+        w["head.rnnt.joint.w_e"] = Tensor.zeros(w["head.rnnt.joint.w_e"].shape)
+        w["head.rnnt.joint.w_p"] = Tensor.zeros(w["head.rnnt.joint.w_p"].shape)
+        w["head.rnnt.joint.b"] = Tensor(np.ones(j, dtype=np.float32))
+        w["head.rnnt.joint.w_out"] = Tensor(out)
         try:
             hyp, _ = run_pipeline(conv_model, "rnnt", frontend.synth_audio(2.0, seed=0))
             assert hyp.token_ids == []
             assert hyp.joint_evals == hyp.frames
         finally:
-            w.w_enc, w.w_pred, w.b_joint, w.w_out = keep
+            w.update(keep)
 
     def test_emission_forcing_hits_cap(self, conv_model):
-        w = conv_model.rnnt_head
-        keep = (w.w_enc, w.w_pred, w.b_joint, w.w_out)
-        j = w.b_joint.shape[0]
+        w = conv_model.weights
+        keep = {n: w[n] for n in JOINT_NAMES}
+        j = w["head.rnnt.joint.b"].shape[0]
         out = -np.ones((29, j), dtype=np.float32)
         out[0] = 1.0
-        w.w_enc = Tensor.zeros(w.w_enc.shape)
-        w.w_pred = Tensor.zeros(w.w_pred.shape)
-        w.b_joint = Tensor(np.ones(j, dtype=np.float32))
-        w.w_out = Tensor(out)
+        w["head.rnnt.joint.w_e"] = Tensor.zeros(w["head.rnnt.joint.w_e"].shape)
+        w["head.rnnt.joint.w_p"] = Tensor.zeros(w["head.rnnt.joint.w_p"].shape)
+        w["head.rnnt.joint.b"] = Tensor(np.ones(j, dtype=np.float32))
+        w["head.rnnt.joint.w_out"] = Tensor(out)
         try:
             hyp, _ = run_pipeline(conv_model, "rnnt", frontend.synth_audio(2.0, seed=0))
             cap = decoders.MAX_SYMBOLS_PER_FRAME
             assert len(hyp.token_ids) == cap * hyp.frames
             assert hyp.joint_evals == (cap + 1) * hyp.frames
         finally:
-            w.w_enc, w.w_pred, w.b_joint, w.w_out = keep
+            w.update(keep)
 
     def test_rows_and_accounting(self, conv_model):
         rows = ctc_rnnt_divergence(conv_model, [2, 4], seed=0, repeats=1)

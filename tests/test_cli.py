@@ -87,6 +87,13 @@ class TestConfigResolution:
         with pytest.raises(cli.ConfigError):
             cli.resolve_run_config(str(path))
 
+    def test_config_nested_past_the_recursion_limit_is_a_config_error(self, tmp_path):
+        # was exit 5: json raised RecursionError
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(cli.ConfigError, match="config file"):
+            cli.resolve_run_config(str(path))
+
     def test_config_file_not_utf8_is_a_config_error(self, tmp_path):
         # was exit 2: the UnicodeDecodeError passed as bad input
         path = tmp_path / "cfg.json"
@@ -305,8 +312,8 @@ class TestTranscribe:
             feats.append(weakref.ref(fm.frames))
             return fm
 
-        def checked_block(x, blk):
-            out = conv_block(x, blk)
+        def checked_block(x, w, spec):
+            out = conv_block(x, w, spec)
             if len(alive) < len(feats):  # the pass's first block
                 alive.append(feats[-1]() is not None)
             return out
@@ -612,6 +619,25 @@ class TestExitCodes:
         code, _, _ = run(capsys, "transcribe", "--config", "no-such",
                          "--audio", tone_wav)
         assert code == 3
+
+    def test_unreadable_config_is_3(self, capsys, tone_wav, tmp_path):
+        # was exit 2 with a bare "[Errno 21] Is a directory"
+        code, _, err = run(capsys, "transcribe", "--config", str(tmp_path),
+                           "--audio", tone_wav)
+        assert code == 3
+        assert f"config file {str(tmp_path)!r}: Is a directory" in err
+
+    def test_recursion_error_reading_audio_is_5(self, capsys, tone_wav, monkeypatch):
+        # a RuntimeError, which wave's corrupt chunk skip also raises; it is
+        # a fault of the program, not of the file
+        def recurse(*a, **kw):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(frontend.wave, "open", recurse)
+        code, _, err = run(capsys, "transcribe", "--config", "toy-quartznet2",
+                           "--audio", tone_wav)
+        assert code == 5
+        assert "corrupt chunk size" not in err
 
     def test_corrupt_weights_magic_is_4(self, capsys, tone_wav, tmp_path):
         bad = tmp_path / "bad.lfwb"

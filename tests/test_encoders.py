@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lfab import encoders, frontend, tensor
+from lfab import decoders, encoders, frontend, tensor
 from lfab.attention import AttentionConfig
 from lfab.cli import PRESETS, build_model, resolve_run_config
 from lfab.encoders import EncoderConfig
@@ -63,7 +63,8 @@ class TestConfigValidation:
             m = encoders.build(toy_cfg(family), seed=0)
             assert m.config.kernel_size == 9
             assert {s.k for s in encoders.conv_schedule(m.config)} == {9}
-            assert {blk.conv.w_dw.shape[1] for blk in m.blocks} == {9}
+            assert {m.weights[f"block.{i}.conv.dw"].shape[1]
+                    for i in range(m.config.num_blocks)} == {9}
 
     def test_citrinet_requires_kernel_list_of_right_length(self):
         with pytest.raises(ConfigError, match="kernel list"):
@@ -321,36 +322,68 @@ class TestParameterCounts:
         assert m.parameter_count - base == ctc + rnnt
 
 
+class ReadRecorder(dict):
+    """A weights dict that records the names read from it."""
+
+    def __init__(self, weights):
+        super().__init__(weights)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+class TestOneDescription:
+    """The entry list and the forward pass describe the same weights: each
+    drawn weight is read by encode, ctc_logits or the RNNT decode, and a
+    name read but never drawn would raise KeyError."""
+
+    @pytest.mark.parametrize("preset", sorted(p for p in PRESETS if p.startswith("toy-")))
+    def test_names_read_equal_names_drawn(self, preset):
+        model = build_model(resolve_run_config(preset), seed=0)
+        model.weights = weights = ReadRecorder(model.weights)
+        vocab = decoders.default_vocab()
+        enc = encoders.encode(model, feats(400))
+        decoders.ctc_greedy(encoders.ctc_logits(model, enc), vocab)
+        decoders.rnnt_greedy(enc, model.rnnt_head, vocab)
+        assert weights.read == set(weights)
+
+
 class TestResidualIdentity:
     def zero(self, t):
         return Tensor.zeros(t.shape)
 
+    def zero_entries(self, w, *names):
+        for name in names:
+            w[name] = self.zero(w[name])
+
     def test_conv_block_zero_weights_is_identity(self):
         m = encoders.build(toy_cfg("conv_only"), seed=0)
-        blk = m.conv_stack[2]  # first residual block
-        assert blk.residual
-        blk.w_dw, blk.w_pw = self.zero(blk.w_dw), self.zero(blk.w_pw)
+        spec = encoders.conv_schedule(m.config)[2]  # first residual block
+        assert spec.residual
+        self.zero_entries(m.weights, f"{spec.prefix}.dw", f"{spec.prefix}.pw")
         x = Tensor(np.random.default_rng(0).standard_normal((64, 40)).astype(np.float32))
-        np.testing.assert_array_equal(encoders._conv_block_forward(x, blk).array, x.array)
+        np.testing.assert_array_equal(
+            encoders._conv_block_forward(x, m.weights, spec).array, x.array)
 
     def test_se_block_zero_conv_weights_is_identity(self):
         m = encoders.build(toy_cfg("conv_se"), seed=0)
-        blk = next(b for b in m.conv_stack[1:] if getattr(b, "residual", False))
-        blk.w_dw, blk.w_pw = self.zero(blk.w_dw), self.zero(blk.w_pw)
-        c = blk.w_pw.shape[0]
+        spec = next(s for s in encoders.conv_schedule(m.config)[1:] if s.residual)
+        self.zero_entries(m.weights, f"{spec.prefix}.dw", f"{spec.prefix}.pw")
+        c = m.weights[f"{spec.prefix}.pw"].shape[0]
         x = Tensor(np.random.default_rng(1).standard_normal((c, 24)).astype(np.float32))
-        np.testing.assert_array_equal(encoders._conv_block_forward(x, blk).array, x.array)
+        np.testing.assert_array_equal(
+            encoders._conv_block_forward(x, m.weights, spec).array, x.array)
 
     def test_conformer_block_zero_weights_is_identity(self):
         cfg = toy_cfg("conformer_lca")
         m = encoders.build(cfg, seed=0)
-        blk = m.blocks[1]
-        for ff in (blk.ff1, blk.ff2):
-            ff.w1, ff.b1, ff.w2, ff.b2 = map(self.zero, (ff.w1, ff.b1, ff.w2, ff.b2))
-        blk.att.w_o, blk.att.b_o = self.zero(blk.att.w_o), self.zero(blk.att.b_o)
-        blk.conv.w_pw2 = self.zero(blk.conv.w_pw2)
+        self.zero_entries(m.weights, *(f"block.1.{ff}.{name}" for ff in ("ff1", "ff2")
+                                       for name in ("w1", "b1", "w2", "b2")))
+        self.zero_entries(m.weights, "block.1.att.w_o", "block.1.att.b_o", "block.1.conv.pw2")
         x = Tensor(np.random.default_rng(2).standard_normal((50, 64)).astype(np.float32))
-        got = encoders.conformer_block_forward(x, blk, cfg)
+        got = encoders.conformer_block_forward(x, m.weights, "block.1", cfg)
         np.testing.assert_array_equal(got.array, x.array)
 
 
@@ -374,10 +407,10 @@ class TestSqueezeExcitation:
     def test_network_with_zeroed_se_equals_half_gain_network(self, monkeypatch):
         cfg = toy_cfg("conv_se")
         m = encoders.build(cfg, seed=6)
-        for blk in m.conv_stack:
-            if getattr(blk, "se", None) is not None:
-                blk.se.w1 = Tensor.zeros(blk.se.w1.shape)
-                blk.se.w2 = Tensor.zeros(blk.se.w2.shape)
+        for spec in encoders.conv_schedule(cfg):
+            if spec.se:
+                for name in (f"{spec.prefix}.se.w1", f"{spec.prefix}.se.w2"):
+                    m.weights[name] = Tensor.zeros(m.weights[name].shape)
         x = feats(160, seed=8)
         zeroed = encoders.encode(m, x).array
         monkeypatch.setattr(
@@ -432,5 +465,5 @@ class TestConformerVariants:
         m = encoders.build(toy_cfg("conformer_full", num_blocks=1), seed=0)
         x = Tensor(np.random.default_rng(0).standard_normal((100, 64)).astype(np.float32))
         with tensor.AllocationTracker() as tr:
-            encoders._conv_module_forward(x, m.blocks[0].conv)
+            encoders._conv_module_forward(x, m.weights, "block.0.conv")
         assert tr.peak_bytes == 6 * x.nbytes
